@@ -17,7 +17,7 @@
 //! `--out` is given explicitly. `--smoke` runs tiny concurrency levels
 //! with few edits.
 
-use pe_bench::netload::{net_load, net_load_connect, net_load_with_store, render_json, StoreBacking};
+use pe_bench::netload::{net_load, net_load_connect, net_load_with_store, render_json, RowStore};
 use pe_bench::report::markdown_table;
 use pe_store::FsyncPolicy;
 
@@ -49,7 +49,7 @@ fn main() {
             std::process::exit(2);
         })
     });
-    let durable: Option<StoreBacking> = flag_value(&args, "--store").map(|dir| {
+    let durable: Option<RowStore> = flag_value(&args, "--store").map(|dir| {
         let fsync = match flag_value(&args, "--fsync") {
             Some(text) => FsyncPolicy::parse(text).unwrap_or_else(|| {
                 eprintln!("error: --fsync needs always|never|every=N, got {text:?}");
@@ -61,7 +61,7 @@ fn main() {
             Some(n) => n.parse().unwrap_or_else(|_| bad_usage(n)),
             None => 4,
         };
-        StoreBacking::Sharded { dir: dir.into(), fsync, shards }
+        RowStore::Sharded { dir: dir.into(), fsync, shards }
     });
     if durable.is_some() && connect.is_some() {
         eprintln!("error: --store spawns its own servers; it cannot be combined with --connect");

@@ -220,10 +220,15 @@ fn watcher_session(
     doc: &str,
     seed: u64,
     publishes: &Mutex<HashMap<u64, Instant>>,
+    start: &Barrier,
     stop: &AtomicBool,
 ) -> Result<u64, String> {
     let wait = Duration::from_millis(1500);
-    let mut session = join_session(addr, doc, "watcher", seed, wait)?;
+    let joined = join_session(addr, doc, "watcher", seed, wait);
+    // The editors start typing only once both listeners are subscribed,
+    // so every accepted save is a delivery the listeners can time.
+    start.wait();
+    let mut session = joined?;
     let mut pending = Vec::new();
     let push_latency = pe_observe::static_histogram!("collab.push_delivery_ns");
     let mut deliveries = 0u64;
@@ -244,9 +249,12 @@ fn poller_session(
     seed: u64,
     interval: Duration,
     publishes: &Mutex<HashMap<u64, Instant>>,
+    start: &Barrier,
     stop: &AtomicBool,
 ) -> Result<u64, String> {
-    let mut session = join_session(addr, doc, "poller", seed, interval)?;
+    let joined = join_session(addr, doc, "poller", seed, interval);
+    start.wait();
+    let mut session = joined?;
     let mut pending = Vec::new();
     let poll_latency = pe_observe::static_histogram!("collab.poll_delivery_ns");
     let mut deliveries = 0u64;
@@ -319,25 +327,28 @@ fn run_row(
     creator.save_full(&doc, "collab baseline").expect("seed the shared document");
 
     let publishes = Arc::new(Mutex::new(HashMap::new()));
-    let start = Arc::new(Barrier::new(editors));
+    // The editors plus the watcher and the poller.
+    let start = Arc::new(Barrier::new(editors + 2));
     let edits_done = Arc::new(Barrier::new(editors));
     let stop_listeners = Arc::new(AtomicBool::new(false));
 
     let watcher = {
         let doc = doc.clone();
         let publishes = Arc::clone(&publishes);
+        let start = Arc::clone(&start);
         let stop = Arc::clone(&stop_listeners);
         std::thread::spawn(move || {
-            watcher_session(addr, &doc, seed ^ 0x5afe, &publishes, &stop)
+            watcher_session(addr, &doc, seed ^ 0x5afe, &publishes, &start, &stop)
         })
     };
     let poller = {
         let doc = doc.clone();
         let publishes = Arc::clone(&publishes);
+        let start = Arc::clone(&start);
         let stop = Arc::clone(&stop_listeners);
         let interval = Duration::from_millis(poll_interval_ms);
         std::thread::spawn(move || {
-            poller_session(addr, &doc, seed ^ 0x9011, interval, &publishes, &stop)
+            poller_session(addr, &doc, seed ^ 0x9011, interval, &publishes, &start, &stop)
         })
     };
 
@@ -481,6 +492,7 @@ mod tests {
 
     #[test]
     fn tiny_fanout_converges_with_zero_errors() {
+        let _metrics = crate::metrics_lock();
         let dir = std::env::temp_dir()
             .join(format!("pe-collabload-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);

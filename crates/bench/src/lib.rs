@@ -44,3 +44,12 @@ pub mod report;
 pub mod storebench;
 pub mod tenantbench;
 pub mod timing;
+
+/// Serializes the unit tests that drive sockets or durable stores: the
+/// harnesses reset and read the process-global metrics registry, which
+/// a concurrently running test would perturb.
+#[cfg(test)]
+pub(crate) fn metrics_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

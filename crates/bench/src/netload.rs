@@ -24,7 +24,7 @@ use pe_store::{DocStore, FsyncPolicy, ShardedLogStore, StoreConfig};
 
 /// What the per-row `DocsServer` persists documents in.
 #[derive(Debug, Clone)]
-pub enum StoreBacking {
+pub enum RowStore {
     /// In-memory store: measures the pipeline with storage free.
     Mem,
     /// Durable sharded WAL store rooted at `dir` — every acknowledged
@@ -40,12 +40,12 @@ pub enum StoreBacking {
     },
 }
 
-impl StoreBacking {
+impl RowStore {
     /// Stable per-row label for reports.
     pub fn label(&self) -> String {
         match self {
-            StoreBacking::Mem => "mem".into(),
-            StoreBacking::Sharded { fsync, shards, .. } => {
+            RowStore::Mem => "mem".into(),
+            RowStore::Sharded { fsync, shards, .. } => {
                 format!("sharded-log shards={shards} fsync={}", fsync.label())
             }
         }
@@ -54,8 +54,8 @@ impl StoreBacking {
     /// A fresh backend server for one concurrency row.
     fn make_server(&self, clients: usize) -> DocsServer {
         match self {
-            StoreBacking::Mem => DocsServer::new(),
-            StoreBacking::Sharded { dir, fsync, shards } => {
+            RowStore::Mem => DocsServer::new(),
+            RowStore::Sharded { dir, fsync, shards } => {
                 let row_dir = dir.join(format!("c{clients:04}"));
                 let _ = std::fs::remove_dir_all(&row_dir);
                 std::fs::create_dir_all(&row_dir).expect("create row store dir");
@@ -143,14 +143,14 @@ fn editor_session(
 /// worker pool is sized to the machine (not to N) — scaling beyond the
 /// worker count measures queueing, which is the interesting regime.
 pub fn net_load(client_counts: &[usize], edits: usize, seed: u64) -> Vec<NetLoadRow> {
-    net_load_with_store(&StoreBacking::Mem, client_counts, edits, seed)
+    net_load_with_store(&RowStore::Mem, client_counts, edits, seed)
 }
 
-/// Like [`net_load`] but with a chosen [`StoreBacking`] — the durable
+/// Like [`net_load`] but with a chosen [`RowStore`] — the durable
 /// variant is the row set that shows what acknowledged saves cost when
 /// every one of them must reach a sharded WAL before the HTTP response.
 pub fn net_load_with_store(
-    backing: &StoreBacking,
+    backing: &RowStore,
     client_counts: &[usize],
     edits: usize,
     seed: u64,
@@ -267,6 +267,7 @@ mod tests {
 
     #[test]
     fn tiny_load_completes_with_zero_unrecovered_errors() {
+        let _metrics = crate::metrics_lock();
         let rows = net_load(&[1, 2], 2, 0xbead);
         assert_eq!(rows.len(), 2);
         for row in &rows {
@@ -283,10 +284,11 @@ mod tests {
 
     #[test]
     fn durable_backing_persists_every_acknowledged_save() {
+        let _metrics = crate::metrics_lock();
         let dir = std::env::temp_dir()
             .join(format!("pe-netload-durable-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let backing = StoreBacking::Sharded {
+        let backing = RowStore::Sharded {
             dir: dir.clone(),
             fsync: FsyncPolicy::Always,
             shards: 2,
@@ -309,6 +311,7 @@ mod tests {
 
     #[test]
     fn connect_mode_drives_an_external_server() {
+        let _metrics = crate::metrics_lock();
         let backend = Arc::new(DocsServer::new());
         let server = HttpServer::bind(
             "127.0.0.1:0",
@@ -326,6 +329,7 @@ mod tests {
 
     #[test]
     fn json_report_is_well_formed() {
+        let _metrics = crate::metrics_lock();
         let rows = net_load(&[1], 1, 0xfeed);
         let json = render_json(&rows, 1);
         assert!(json.contains("\"bench\": \"net_load\""));

@@ -89,7 +89,7 @@ pub struct GroupRow {
 pub struct ShardReplayRow {
     /// Records (= distinct documents) in the store before reopening.
     pub records: u64,
-    /// Shards the log is split over (1 = the legacy layout).
+    /// Shards the log is split over (1 = a single WAL).
     pub shards: usize,
     /// Total bytes on disk across every shard's segments.
     pub log_bytes: u64,
@@ -421,6 +421,7 @@ mod tests {
 
     #[test]
     fn append_sweep_counts_fsyncs_per_policy() {
+        let _metrics = crate::metrics_lock();
         let rows = append_sweep(
             &[FsyncPolicy::Always, FsyncPolicy::EveryN(16), FsyncPolicy::Never],
             64,
@@ -443,6 +444,7 @@ mod tests {
 
     #[test]
     fn replay_sweep_recovers_every_record() {
+        let _metrics = crate::metrics_lock();
         let rows = replay_sweep(&[100, 300]);
         assert_eq!(rows.len(), 2);
         for row in &rows {
@@ -455,6 +457,7 @@ mod tests {
 
     #[test]
     fn group_commit_sweep_accounts_every_append() {
+        let _metrics = crate::metrics_lock();
         let rows = group_commit_sweep(&[1, 4], 2, 32, FsyncPolicy::Always);
         assert_eq!(rows.len(), 2);
         for row in &rows {
@@ -473,6 +476,7 @@ mod tests {
 
     #[test]
     fn sharded_replay_sweep_recovers_every_document() {
+        let _metrics = crate::metrics_lock();
         let rows = sharded_replay_sweep(&[(200, 1), (200, 4)]);
         assert_eq!(rows.len(), 2);
         for row in &rows {
@@ -486,6 +490,7 @@ mod tests {
 
     #[test]
     fn json_report_is_well_formed() {
+        let _metrics = crate::metrics_lock();
         let appends = append_sweep(&[FsyncPolicy::Never], 16);
         let groups = group_commit_sweep(&[2], 2, 8, FsyncPolicy::Always);
         let replays = replay_sweep(&[32]);

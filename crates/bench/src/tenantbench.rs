@@ -349,6 +349,7 @@ mod tests {
 
     #[test]
     fn recovery_preserves_directory() {
+        let _metrics = crate::metrics_lock();
         let row = recovery_bench(12, 20, 2);
         assert_eq!(row.users, 12);
         assert_eq!(row.docs, 20);
@@ -357,6 +358,7 @@ mod tests {
 
     #[test]
     fn json_is_well_formed_enough() {
+        let _metrics = crate::metrics_lock();
         let wraps = wrap_unwrap_sweep(4, 50);
         let grants = grant_revoke_sweep(&[1024], 2);
         let recs = vec![recovery_bench(4, 4, 2)];

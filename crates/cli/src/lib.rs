@@ -1,9 +1,9 @@
 //! `pedit`: a command-line private editor.
 //!
 //! The paper's user story, as a tool: documents live on an untrusted
-//! "cloud" (here a file-persisted [`DocsServer`] snapshot — the provider's
+//! "cloud" (here a durable [`ShardedLogStore`] directory — the provider's
 //! entire view), and every interaction goes through the privacy mediator,
-//! so the store file never contains a byte of plaintext.
+//! so the store never contains a byte of plaintext.
 //!
 //! ```console
 //! $ pedit --store cloud.db create --password pw
@@ -37,12 +37,12 @@ use pe_tenant::{ServiceRecords, TenantDirectory};
 /// A parsed command-line invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CliOptions {
-    /// Path of the store file holding the provider's state.
+    /// Path of the store directory holding the provider's state.
     pub store: PathBuf,
     /// Use RPC (integrity) mode for newly created documents.
     pub rpc: bool,
     /// Address of a running `pedit serve` instance to talk to over TCP
-    /// instead of opening a local store file.
+    /// instead of opening a local store.
     pub connect: Option<String>,
     /// PBKDF2 iteration override from `--kdf-iters` (the `PE_KDF_ITERS`
     /// environment variable is consulted at run time when absent).
@@ -235,9 +235,8 @@ pub enum Command {
         format: StatsFormat,
     },
     /// Serve the store over HTTP (a real `pe-net` socket server) until a
-    /// `stop` command arrives. The store is a durable [`pe_store::LogStore`]
-    /// directory: every acknowledged save is on disk before the client
-    /// hears back, so a `kill -9` loses nothing.
+    /// `stop` command arrives. Every acknowledged save is on disk before
+    /// the client hears back, so a `kill -9` loses nothing.
     Serve {
         /// Address to bind (`127.0.0.1:0` picks an ephemeral port).
         addr: String,
@@ -262,14 +261,10 @@ pub enum Command {
         /// The store directory to check.
         dir: PathBuf,
     },
-    /// Snapshot and garbage-collect a store directory offline. With
-    /// `--shards N`, first migrates a legacy single-directory store to
-    /// an N-way sharded layout in place.
+    /// Snapshot and garbage-collect a store directory offline.
     Compact {
         /// The store directory to compact.
         dir: PathBuf,
-        /// Migrate a legacy store to this many shards before compacting.
-        shards: Option<usize>,
     },
 }
 
@@ -288,9 +283,9 @@ pub enum StatsFormat {
 pub enum CliError {
     /// Command line could not be parsed; the string is usage help.
     Usage(String),
-    /// The store file could not be read or written.
+    /// The store could not be read or written.
     Store(std::io::Error),
-    /// The store file contents were invalid.
+    /// The store contents were invalid.
     BadStore(String),
     /// The mediator/crypto layer failed (wrong password, tampering, …).
     Extension(ExtensionError),
@@ -303,7 +298,7 @@ impl fmt::Display for CliError {
         match self {
             CliError::Usage(msg) => write!(f, "{msg}"),
             CliError::Store(e) => write!(f, "store i/o error: {e}"),
-            CliError::BadStore(msg) => write!(f, "invalid store file: {msg}"),
+            CliError::BadStore(msg) => write!(f, "invalid store: {msg}"),
             CliError::Extension(e) => write!(f, "{e}"),
             CliError::Net(msg) => write!(f, "network error: {msg}"),
         }
@@ -326,13 +321,15 @@ impl From<pe_tenant::TenantError> for CliError {
 
 /// Usage text shown for parse failures and `--help`.
 pub const USAGE: &str = "\
-pedit — private editing on an untrusted (file-simulated) cloud
+pedit — private editing on an untrusted (locally simulated) cloud
 
-USAGE: pedit --store FILE [--rpc] [--kdf-iters N] COMMAND
+USAGE: pedit --store DIR [--rpc] [--kdf-iters N] COMMAND
        pedit --connect HOST:PORT [--rpc] [--kdf-iters N] COMMAND
 
-With --store, commands run against a local store file. With --connect,
-they run over a real TCP socket against a running `pedit serve`.
+With --store, commands run against a local store directory, created on
+first use; a single-file text store from older releases at that path is
+migrated to a directory by the first command that opens it. With
+--connect, they run over a real TCP socket against a running `pedit serve`.
 
 Document commands authenticate with a per-document password
 (--password PW) or a tenant login (--user U --passphrase P) whose
@@ -370,15 +367,12 @@ COMMANDS:
   stats   [--format text|json]
   serve   [--addr HOST:PORT] [--workers N] [--max-conns N] [--addr-file PATH]
           [--fsync always|never|every=N] [--shards N]
-          (requires --store DIR; --addr defaults to 127.0.0.1:0; a legacy
-           text-snapshot store file is migrated to a durable directory;
+          (requires --store DIR; --addr defaults to 127.0.0.1:0;
            --shards sets the WAL shard count for a fresh store)
   stop    (requires --connect)
-  fsck    DIR     (verify a store directory — legacy or sharded, every
-                   shard checked; non-zero exit on corruption)
-  compact DIR [--shards N]
-          (snapshot + garbage-collect a store directory; --shards N
-           migrates a legacy store to an N-way sharded layout in place)";
+  fsck    DIR     (verify a store directory read-only, every shard
+                   checked; non-zero exit on corruption)
+  compact DIR     (snapshot + garbage-collect a store directory)";
 
 /// Parses command-line arguments (excluding `argv[0]`).
 ///
@@ -439,25 +433,10 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, CliError> {
         let dir = PathBuf::from(
             rest.next().ok_or_else(|| usage(&format!("{verb} needs a store directory")))?,
         );
-        let mut shards = None;
-        if let Some(extra) = rest.next() {
-            if verb == "compact" && extra == "--shards" {
-                let value = rest.next().ok_or_else(|| usage("--shards needs a value"))?;
-                shards = Some(
-                    value.parse::<usize>().map_err(|_| usage("--shards must be a number"))?,
-                );
-            } else {
-                return Err(usage(&format!("unexpected argument {extra:?}")));
-            }
-        }
         if let Some(extra) = rest.next() {
             return Err(usage(&format!("unexpected argument {extra:?}")));
         }
-        let command = if verb == "fsck" {
-            Command::Fsck { dir }
-        } else {
-            Command::Compact { dir, shards }
-        };
+        let command = if verb == "fsck" { Command::Fsck { dir } } else { Command::Compact { dir } };
         return Ok(CliOptions {
             store: store.unwrap_or_default(),
             rpc,
@@ -471,7 +450,7 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, CliError> {
     let store = match store {
         Some(path) => path,
         None if verb == "stats" || connect.is_some() => PathBuf::new(),
-        None => return Err(usage("missing --store FILE")),
+        None => return Err(usage("missing --store DIR")),
     };
     // Collect remaining flags into key/value pairs.
     let mut flags = std::collections::HashMap::new();
@@ -668,17 +647,6 @@ fn effective_kdf_iters(options: &CliOptions) -> u32 {
         .unwrap_or(MediatorConfig::default().kdf_iterations)
 }
 
-/// How the local store is persisted: the legacy whole-file text snapshot
-/// (rewritten in full on exit) or a durable [`ShardedLogStore`] directory
-/// (every mutation is already on disk; exit only flushes). The sharded
-/// engine opens legacy single-directory WAL stores transparently.
-enum StoreBacking {
-    /// Legacy single-file text snapshot.
-    TextFile,
-    /// Durable write-ahead-logged directory (sharded or legacy layout).
-    LogDir(Arc<ShardedLogStore>),
-}
-
 fn store_error(e: StoreError) -> CliError {
     match e {
         StoreError::Io(io) => CliError::Store(io),
@@ -692,46 +660,60 @@ fn default_shards() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-fn open_log_dir(
-    dir: &Path,
+/// Opens (or creates) the durable store directory at `path` — the one
+/// store format every command, local or `serve`, runs on.
+///
+/// A single-file text store from older releases at the same path is
+/// migrated once: the file is moved aside to `PATH.legacy`, replayed
+/// into a fresh store directory at `path`, and deleted only once the
+/// replayed log is durable. Deleting it is the commit point: a leftover
+/// `.legacy` file means an interrupted migration, which restarts from
+/// it. A file that fails to replay is put back where it was.
+fn open_store(
+    path: &Path,
     fsync: FsyncPolicy,
     shards: Option<usize>,
 ) -> Result<Arc<ShardedLogStore>, CliError> {
     let config = StoreConfig { fsync, ..StoreConfig::default() };
-    ShardedLogStore::open(dir, shards.unwrap_or_else(default_shards), config)
-        .map(Arc::new)
-        .map_err(store_error)
-}
-
-fn load_store(path: &Path) -> Result<(Arc<DocsServer>, StoreBacking), CliError> {
-    match std::fs::metadata(path) {
-        Ok(meta) if meta.is_dir() => {
-            let store = open_log_dir(path, FsyncPolicy::Always, None)?;
-            let docs = Arc::clone(&store) as Arc<dyn DocStore>;
-            Ok((Arc::new(DocsServer::with_store(docs)), StoreBacking::LogDir(store)))
-        }
-        Ok(_) => {
-            let snapshot = std::fs::read_to_string(path).map_err(CliError::Store)?;
-            let server = DocsServer::restore(&snapshot).map_err(CliError::BadStore)?;
-            Ok((Arc::new(server), StoreBacking::TextFile))
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            Ok((Arc::new(DocsServer::new()), StoreBacking::TextFile))
-        }
-        Err(e) => Err(CliError::Store(e)),
+    let open = || {
+        ShardedLogStore::open(path, shards.unwrap_or_else(default_shards), config)
+            .map(Arc::new)
+            .map_err(store_error)
+    };
+    let mut legacy = path.as_os_str().to_os_string();
+    legacy.push(".legacy");
+    let legacy = PathBuf::from(legacy);
+    if path.is_file() {
+        std::fs::rename(path, &legacy).map_err(CliError::Store)?;
+    } else if !legacy.is_file() {
+        return open();
     }
-}
-
-fn persist_store(
-    path: &Path,
-    server: &DocsServer,
-    backing: &StoreBacking,
-) -> Result<(), CliError> {
-    match backing {
-        StoreBacking::TextFile => {
-            std::fs::write(path, server.snapshot()).map_err(CliError::Store)
+    let replay = || -> Result<Arc<ShardedLogStore>, CliError> {
+        // Clear whatever an interrupted earlier attempt left behind.
+        if path.exists() {
+            std::fs::remove_dir_all(path).map_err(CliError::Store)?;
         }
-        StoreBacking::LogDir(store) => store.flush().map_err(store_error),
+        let text = std::fs::read_to_string(&legacy).map_err(CliError::Store)?;
+        let store = open()?;
+        DocsServer::restore_into(&text, store.as_ref()).map_err(CliError::BadStore)?;
+        store.flush().map_err(store_error)?;
+        Ok(store)
+    };
+    match replay() {
+        Ok(store) => {
+            std::fs::remove_file(&legacy).map_err(CliError::Store)?;
+            // The removal is the commit point; it must be durable before
+            // any save lands in the directory, or a crash could bring the
+            // text file back and replay it over newer saves.
+            let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
+            pe_store::wal::sync_dir(parent.unwrap_or(Path::new("."))).map_err(CliError::Store)?;
+            Ok(store)
+        }
+        Err(e) => {
+            let _ = std::fs::remove_dir_all(path);
+            std::fs::rename(&legacy, path).map_err(CliError::Store)?;
+            Err(e)
+        }
     }
 }
 
@@ -925,7 +907,7 @@ pub fn run(options: &CliOptions) -> Result<String, CliError> {
     match &options.command {
         Command::Stats { format } if options.connect.is_none() => {
             // The stats session runs against its own in-memory cloud; the
-            // store file is neither read nor written. With `--connect` the
+            // store is neither read nor written. With `--connect` the
             // command instead falls through to remote dispatch and fetches
             // the live server's snapshot from `/admin/stats`.
             return stats::run_scripted_session(*format);
@@ -946,25 +928,14 @@ pub fn run(options: &CliOptions) -> Result<String, CliError> {
             let text = report.render();
             return if report.is_healthy() { Ok(text) } else { Err(CliError::BadStore(text)) };
         }
-        Command::Compact { dir, shards } => {
-            let config = StoreConfig { fsync: FsyncPolicy::Always, ..StoreConfig::default() };
-            let store = match shards {
-                // Explicit --shards N: migrate a legacy layout in place
-                // (a no-op plain open when already sharded or fresh).
-                Some(n) => ShardedLogStore::migrate(dir, *n, config).map_err(store_error)?,
-                None => ShardedLogStore::open(dir, default_shards(), config)
-                    .map_err(store_error)?,
-            };
-            let layout = if store.is_legacy() {
-                "legacy layout".to_string()
-            } else {
-                format!("{} shard(s)", store.shard_count())
-            };
+        Command::Compact { dir } => {
+            let store = open_store(dir, FsyncPolicy::Always, None)?;
             let stats = store.compact().map_err(store_error)?;
             return Ok(format!(
-                "compacted {} ({layout}): snapshot covers wal {} ({} doc(s), {} bytes); \
+                "compacted {} ({} shard(s)): snapshot covers wal {} ({} doc(s), {} bytes); \
                  removed {} segment(s), {} old snapshot(s)",
                 dir.display(),
+                store.shard_count(),
                 stats.covered_seq,
                 stats.docs,
                 stats.snapshot_bytes,
@@ -985,8 +956,14 @@ pub fn run(options: &CliOptions) -> Result<String, CliError> {
             "watch and edit --live subscribe to a running server; use --connect HOST:PORT\n\n{USAGE}"
         )));
     }
-    let (server, backing) = load_store(&options.store)?;
-    let output = match &options.command {
+    if options.command == Command::Stop {
+        return Err(CliError::Usage(format!("stop needs --connect HOST:PORT\n\n{USAGE}")));
+    }
+    let store = open_store(&options.store, FsyncPolicy::Always, None)?;
+    let server = Arc::new(DocsServer::with_store(store as Arc<dyn DocStore>));
+    // Every mutation below is fsynced before it returns (`--fsync always`),
+    // so there is nothing left to write back on exit.
+    Ok(match &options.command {
         Command::List => {
             let ids = server.list_documents();
             if ids.is_empty() {
@@ -999,17 +976,8 @@ pub fn run(options: &CliOptions) -> Result<String, CliError> {
             Some(content) => content,
             None => "(no such document)".to_string(),
         },
-        Command::Stop => {
-            return Err(CliError::Usage(format!(
-                "stop needs --connect HOST:PORT\n\n{USAGE}"
-            )))
-        }
-        command => {
-            doc_session(Arc::clone(&server), options.rpc, effective_kdf_iters(options), command)?
-        }
-    };
-    persist_store(&options.store, &server, &backing)?;
-    Ok(output)
+        command => doc_session(server, options.rpc, effective_kdf_iters(options), command)?,
+    })
 }
 
 mod serve {
@@ -1022,12 +990,11 @@ mod serve {
     //! (live metrics, `?format=text|json`), `GET /admin/list`,
     //! `GET /admin/raw?docID=…`.
     //!
-    //! The store is a write-ahead-logged [`LogStore`] directory: every
-    //! acknowledged save is appended (and, under the default
-    //! `--fsync always`, fsynced) before the HTTP response leaves, so a
-    //! `kill -9` at any moment loses nothing a client was told succeeded.
-    //! This replaced a poll loop that rewrote a whole text snapshot every
-    //! 100 ms — a window in which acknowledged saves lived only in RAM.
+    //! The store is the same write-ahead-logged [`ShardedLogStore`]
+    //! directory local commands use: every acknowledged save is appended
+    //! (and, under the default `--fsync always`, fsynced) before the HTTP
+    //! response leaves, so a `kill -9` at any moment loses nothing a
+    //! client was told succeeded.
 
     use std::path::Path;
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -1040,7 +1007,7 @@ mod serve {
     use pe_net::{HttpServer, Router, ServerConfig};
     use pe_store::{DocStore, FsyncPolicy, ShardedLogStore};
 
-    use crate::{open_log_dir, store_error, CliError, CliOptions};
+    use crate::{open_store, store_error, CliError, CliOptions};
 
     /// Control endpoints; implements [`CloudService`] so the `pe-net`
     /// blanket impl mounts it like any other service.
@@ -1095,40 +1062,6 @@ mod serve {
         }
     }
 
-    /// Opens (or creates) the durable store directory for `serve`. A
-    /// legacy whole-file text snapshot at the same path is migrated: the
-    /// file is moved aside, replayed into a fresh sharded store at the
-    /// original path, and removed only once the replayed log is durable.
-    fn open_serve_store(
-        path: &Path,
-        fsync: FsyncPolicy,
-        shards: Option<usize>,
-    ) -> Result<Arc<ShardedLogStore>, CliError> {
-        match std::fs::metadata(path) {
-            Ok(meta) if meta.is_dir() => open_log_dir(path, fsync, shards),
-            Ok(_) => {
-                let snapshot = std::fs::read_to_string(path).map_err(CliError::Store)?;
-                // Validate before touching anything so a corrupt legacy
-                // file is left exactly where it was.
-                DocsServer::restore(&snapshot).map_err(CliError::BadStore)?;
-                let mut legacy = path.as_os_str().to_os_string();
-                legacy.push(".legacy");
-                let legacy = std::path::PathBuf::from(legacy);
-                std::fs::rename(path, &legacy).map_err(CliError::Store)?;
-                let store = open_log_dir(path, fsync, shards)?;
-                let docs = Arc::clone(&store) as Arc<dyn DocStore>;
-                DocsServer::restore_into(&snapshot, &docs).map_err(CliError::BadStore)?;
-                store.flush().map_err(store_error)?;
-                std::fs::remove_file(&legacy).map_err(CliError::Store)?;
-                Ok(store)
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                open_log_dir(path, fsync, shards)
-            }
-            Err(e) => Err(CliError::Store(e)),
-        }
-    }
-
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_server(
         options: &CliOptions,
@@ -1145,7 +1078,7 @@ mod serve {
                 crate::USAGE
             )));
         }
-        let store = open_serve_store(&options.store, fsync, shards)?;
+        let store = open_store(&options.store, fsync, shards)?;
         let server =
             Arc::new(DocsServer::with_store(Arc::clone(&store) as Arc<dyn DocStore>));
         let stop = Arc::new(AtomicBool::new(false));
@@ -1857,15 +1790,7 @@ mod tests {
         let options = parse_args(&args(&["fsck", "some/dir"])).unwrap();
         assert_eq!(options.command, Command::Fsck { dir: PathBuf::from("some/dir") });
         let options = parse_args(&args(&["compact", "some/dir"])).unwrap();
-        assert_eq!(
-            options.command,
-            Command::Compact { dir: PathBuf::from("some/dir"), shards: None }
-        );
-        let options = parse_args(&args(&["compact", "some/dir", "--shards", "8"])).unwrap();
-        assert_eq!(
-            options.command,
-            Command::Compact { dir: PathBuf::from("some/dir"), shards: Some(8) }
-        );
+        assert_eq!(options.command, Command::Compact { dir: PathBuf::from("some/dir") });
         assert!(matches!(parse_args(&args(&["fsck"])), Err(CliError::Usage(_))));
         assert!(matches!(
             parse_args(&args(&["compact", "a", "b"])),
@@ -1875,8 +1800,10 @@ mod tests {
             parse_args(&args(&["fsck", "a", "--shards", "2"])),
             Err(CliError::Usage(_)),
         ));
+        // The layout is fixed when a store is created; compact takes no
+        // shard count.
         assert!(matches!(
-            parse_args(&args(&["compact", "a", "--shards", "two"])),
+            parse_args(&args(&["compact", "a", "--shards", "2"])),
             Err(CliError::Usage(_)),
         ));
     }

@@ -1,15 +1,19 @@
 //! End-to-end CLI tests: every command, driven in-process against a real
-//! temp-file store.
+//! temp-directory store.
+
+use std::path::{Path, PathBuf};
 
 use pe_cli::{parse_args, run, CliError};
+use pe_store::{DocStore, ShardedLogStore, StoreConfig};
 
-struct TempStore(std::path::PathBuf);
+struct TempStore(PathBuf);
 
 impl TempStore {
     fn new(tag: &str) -> TempStore {
         let mut path = std::env::temp_dir();
         path.push(format!("pedit-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&path);
         TempStore(path)
     }
 
@@ -21,7 +25,22 @@ impl TempStore {
 impl Drop for TempStore {
     fn drop(&mut self) {
         let _ = std::fs::remove_file(&self.0);
+        let _ = std::fs::remove_dir_all(&self.0);
     }
+}
+
+/// Every regular file under `dir`, recursively.
+fn files_under(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            files.extend(files_under(&path));
+        } else {
+            files.push(path);
+        }
+    }
+    files
 }
 
 fn pedit(store: &TempStore, args: &[&str]) -> Result<String, CliError> {
@@ -56,9 +75,17 @@ fn full_lifecycle_via_cli() {
     let raw = pedit(&store, &["raw", "--doc", &doc]).unwrap();
     assert!(raw.starts_with("PE1;"));
     assert!(!raw.contains("world"));
-    // And the store file itself never contains plaintext.
-    let on_disk = std::fs::read_to_string(store.path()).unwrap();
-    assert!(!on_disk.contains("world"), "plaintext leaked to the store file");
+    // And no file of the store directory contains plaintext.
+    let files = files_under(&store.0);
+    assert!(!files.is_empty());
+    for file in files {
+        let bytes = std::fs::read(&file).unwrap();
+        assert!(
+            !bytes.windows(b"world".len()).any(|w| w == b"world"),
+            "plaintext leaked to {}",
+            file.display()
+        );
+    }
 }
 
 #[test]
@@ -100,13 +127,28 @@ fn rpc_mode_documents() {
         pedit(&store, &["--rpc", "show", "--doc", &doc, "--password", "pw"]).unwrap(),
         "guarded"
     );
-    // A tampered store file is detected on the next show.
-    let on_disk = std::fs::read_to_string(store.path()).unwrap();
-    let tampered = on_disk.replacen("%3B1", "%3B2", 1); // nudge a record tag
-    if tampered != on_disk {
-        std::fs::write(store.path(), tampered).unwrap();
-        assert!(pedit(&store, &["--rpc", "show", "--doc", &doc, "--password", "pw"]).is_err());
+    // The provider alters one byte of the stored ciphertext; the next
+    // show detects it.
+    {
+        let provider = ShardedLogStore::open(&store.0, 1, StoreConfig::default()).unwrap();
+        let mut tampered = provider.content(&doc).unwrap();
+        let flip = tampered.len() - 2;
+        tampered[flip] = if tampered[flip] == b'A' { b'B' } else { b'A' };
+        provider.put_full(&doc, &tampered).unwrap();
     }
+    assert!(pedit(&store, &["--rpc", "show", "--doc", &doc, "--password", "pw"]).is_err());
+}
+
+#[test]
+fn unreadable_text_store_is_left_where_it_was() {
+    let store = TempStore::new("badtext");
+    std::fs::write(&store.0, "next_doc=abc\n").unwrap();
+    let err = pedit(&store, &["list"]).unwrap_err();
+    assert!(matches!(err, CliError::BadStore(_)), "{err}");
+    assert_eq!(std::fs::read_to_string(&store.0).unwrap(), "next_doc=abc\n");
+    let mut aside = store.0.clone().into_os_string();
+    aside.push(".legacy");
+    assert!(!PathBuf::from(aside).exists());
 }
 
 #[test]

@@ -120,44 +120,69 @@ fn acknowledged_saves_survive_sigkill_and_restart() {
     assert_eq!(local, "and edited after the restart");
 }
 
+/// A single-file text store as `pedit` wrote it before stores were
+/// directories: `doc1`, created and then saved once under password `pw`
+/// with the text "born in a text file".
+const TEXT_STORE: &str = concat!(
+    "next_doc=1\nnext_session=1\n",
+    "docID=doc1&content=PE1%3BR%3Bb8%3BDJDXL5MLRMV55CQ26QSIUGWLHA%3B0BQTDUNYQHLAD4YA7GWQDFVIVSA86BBQAGRLTSWOU2NZ3EHFCSI6HY8QVTA2NUYHPCNRCUGNUW52A6NQU3WIJSPNHOB7BA4QDCXQORSCK4AA",
+    "&version=2&revision=&revision=PE1%3BR%3Bb8%3BDJDXL5MLRMV55CQ26QSIUGWLHA%3B0BQTDUNYQHLAD4YA7GWQDFVIVSA\n",
+);
+
+/// `path` is now a healthy store directory and the moved-aside text file
+/// is gone.
+fn assert_migrated(path: &TempPath) {
+    assert!(path.0.join("pe-shards").is_file(), "store should now be a sharded directory");
+    let mut aside = path.0.as_os_str().to_os_string();
+    aside.push(".legacy");
+    assert!(!PathBuf::from(aside).exists(), "text store should be cleaned up");
+    let report = pedit(&["fsck", path.str()]).unwrap();
+    assert!(report.contains("store healthy"), "fsck after migration: {report}");
+}
+
 #[test]
-fn legacy_text_store_file_is_migrated_by_serve() {
-    let store = TempPath::new("legacy");
-    let addr_file = TempPath::new("legacy-addr");
-
-    // Build a legacy single-file text store with one document in it.
+fn text_store_file_is_migrated_by_local_commands_and_serve() {
+    // --- A local command migrates the file in place. ---
+    let store = TempPath::new("text-local");
+    std::fs::write(&store.0, TEXT_STORE).unwrap();
+    let shown =
+        pedit(&["--store", store.str(), "show", "--doc", "doc1", "--password", "pw"]).unwrap();
+    assert_eq!(shown, "born in a text file");
+    assert_migrated(&store);
+    {
+        use pe_store::{DocStore, ShardedLogStore, StoreConfig};
+        let migrated = ShardedLogStore::open(&store.0, 1, StoreConfig::default()).unwrap();
+        let doc = migrated.get("doc1").unwrap();
+        assert_eq!(doc.version, 2);
+        assert_eq!(doc.revisions.len(), 2);
+        assert!(doc.revisions[0].is_empty());
+        assert_eq!(migrated.meta("next_doc"), Some(1));
+        // The show opened one editing session on top of the migrated count.
+        assert_eq!(migrated.meta("next_session"), Some(2));
+    }
     let created = pedit(&["--store", store.str(), "create", "--password", "pw"]).unwrap();
-    let doc = created.strip_prefix("created ").unwrap().to_string();
-    pedit(&["--store", store.str(), "save", "--doc", &doc, "--password", "pw", "--text",
-            "born in a text file"])
-        .unwrap();
-    assert!(store.0.is_file(), "seed store should be a legacy file");
+    assert_eq!(created, "created doc2", "the id sequence must carry over");
 
-    // `serve` migrates it to a durable directory at the same path.
+    // --- `serve` migrates it the same way. ---
+    let store = TempPath::new("text-serve");
+    let addr_file = TempPath::new("text-serve-addr");
+    std::fs::write(&store.0, TEXT_STORE).unwrap();
     let mut child = spawn_serve(store.str(), addr_file.str());
     let addr = wait_for_addr(&addr_file.0);
-    let shown = pedit(&["--connect", &addr, "show", "--doc", &doc, "--password", "pw"]).unwrap();
+    let shown =
+        pedit(&["--connect", &addr, "show", "--doc", "doc1", "--password", "pw"]).unwrap();
     assert_eq!(shown, "born in a text file");
     assert_eq!(pedit(&["--connect", &addr, "stop"]).unwrap(), "server stopping");
     child.wait().expect("reap serve");
-
-    assert!(store.0.is_dir(), "store should now be a log directory");
-    let mut legacy = store.0.as_os_str().to_os_string();
-    legacy.push(".legacy");
-    assert!(!PathBuf::from(legacy).exists(), "legacy file should be cleaned up");
-    let report = pedit(&["fsck", store.str()]).unwrap();
-    assert!(report.contains("store healthy"), "fsck after migration: {report}");
-    let local =
-        pedit(&["--store", store.str(), "show", "--doc", &doc, "--password", "pw"]).unwrap();
-    assert_eq!(local, "born in a text file");
+    assert_migrated(&store);
 }
 
 /// The sharded drill: a multi-shard store serves over the socket, dies
 /// by SIGKILL mid-life, recovers every acknowledged save across all
-/// shards on restart, and survives fsck + a legacy→sharded migration
-/// round trip.
+/// shards on restart, and survives fsck; a pre-sharding WAL directory
+/// migrates on its first command.
 #[test]
-fn sharded_store_survives_sigkill_and_legacy_stores_migrate() {
+fn sharded_store_survives_sigkill_and_presharding_stores_migrate() {
     let store = TempPath::new("sharded");
     let addr_file = TempPath::new("sharded-addr");
 
@@ -213,22 +238,24 @@ fn sharded_store_survives_sigkill_and_legacy_stores_migrate() {
         pedit(&["--store", store.str(), "show", "--doc", &docs[0], "--password", "pw"]).unwrap();
     assert_eq!(local, "edited after restart");
 
-    // --- Migration: a legacy WAL directory converts in place. ---
-    let legacy = TempPath::new("sharded-legacy");
+    // --- Migration: a pre-sharding WAL directory converts in place. ---
+    let old_dir = TempPath::new("presharding");
     {
         use pe_store::{DocStore, LogStore, StoreConfig};
-        let old = LogStore::open(&legacy.0, StoreConfig::default()).unwrap();
+        let old = LogStore::open(&old_dir.0, StoreConfig::default()).unwrap();
         old.put_full("relic", b"from the single-log era").unwrap();
     }
-    let compacted = pedit(&["compact", legacy.str(), "--shards", "3"]).unwrap();
-    assert!(compacted.contains("3 shard(s)"), "migration output: {compacted}");
-    assert!(legacy.0.join("pe-shards").is_file());
-    let report = pedit(&["fsck", legacy.str()]).unwrap();
+    let report = pedit(&["fsck", old_dir.str()]).unwrap();
+    assert!(report.contains("store healthy"), "fsck before migration: {report}");
+    assert!(!old_dir.0.join("pe-shards").exists(), "fsck must stay read-only");
+    let compacted = pedit(&["compact", old_dir.str()]).unwrap();
+    assert!(compacted.contains("shard(s)"), "migration output: {compacted}");
+    assert!(old_dir.0.join("pe-shards").is_file());
+    let report = pedit(&["fsck", old_dir.str()]).unwrap();
     assert!(report.contains("store healthy"), "fsck after migration: {report}");
     {
         use pe_store::{DocStore, ShardedLogStore, StoreConfig};
-        let migrated = ShardedLogStore::open(&legacy.0, 1, StoreConfig::default()).unwrap();
-        assert_eq!(migrated.shard_count(), 3);
+        let migrated = ShardedLogStore::open(&old_dir.0, 1, StoreConfig::default()).unwrap();
         assert_eq!(migrated.content("relic").unwrap(), b"from the single-log era");
     }
 }

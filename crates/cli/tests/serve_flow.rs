@@ -25,7 +25,7 @@ impl TempPath {
 
 impl Drop for TempPath {
     fn drop(&mut self) {
-        // The store may be a legacy file or a durable log directory.
+        // Stores are directories; address files are plain files.
         let _ = std::fs::remove_file(&self.0);
         let _ = std::fs::remove_dir_all(&self.0);
     }

@@ -212,55 +212,20 @@ impl DocsServer {
             .collect()
     }
 
-    /// Serializes the full server state into a line-oriented snapshot
-    /// (one form-encoded line per document) so tools like the `pedit` CLI
-    /// can persist the "cloud" across invocations.
-    pub fn snapshot(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("next_doc={}\n", self.store.meta(META_NEXT_DOC).unwrap_or(0)));
-        out.push_str(&format!(
-            "next_session={}\n",
-            self.store.meta(META_NEXT_SESSION).unwrap_or(0)
-        ));
-        for id in self.store.list() {
-            let Some(doc) = self.store.get(&id) else { continue };
-            let mut fields: Vec<(String, String)> = vec![
-                ("docID".into(), id.clone()),
-                ("content".into(), String::from_utf8_lossy(&doc.content).into_owned()),
-                ("version".into(), doc.version.to_string()),
-            ];
-            for revision in &doc.revisions {
-                fields.push(("revision".into(), String::from_utf8_lossy(revision).into_owned()));
-            }
-            out.push_str(&form::encode_pairs(&fields));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Restores a server from a [`DocsServer::snapshot`] string into a
-    /// fresh in-memory store. To restore into a durable store, pass it to
-    /// [`DocsServer::restore_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the malformed line on failure.
-    pub fn restore(snapshot: &str) -> Result<DocsServer, String> {
-        let store: Arc<dyn DocStore> = Arc::new(MemStore::new());
-        Self::restore_into(snapshot, &store)?;
-        Ok(DocsServer::with_store(store))
-    }
-
-    /// Replays a [`DocsServer::snapshot`] string into an existing store:
-    /// each document's save history is re-executed (create, then one full
-    /// save per revision, then the current content), so version counters
-    /// and revision lists reconstruct exactly.
+    /// Replays a text snapshot — the single-file store format `pedit`
+    /// wrote before it kept a store directory — into an existing store.
+    /// The format is line-oriented: `next_doc=N`, `next_session=N`, and
+    /// one form-encoded line per document (`docID`, `content`, `version`,
+    /// then one `revision` per past content, oldest first). Each
+    /// document's save history is re-executed (create, then one full save
+    /// per revision, then the current content), so version counters and
+    /// revision lists reconstruct exactly.
     ///
     /// # Errors
     ///
     /// Returns a description of the malformed line, or of the storage
     /// failure, on error.
-    pub fn restore_into(snapshot: &str, store: &Arc<dyn DocStore>) -> Result<(), String> {
+    pub fn restore_into(snapshot: &str, store: &dyn DocStore) -> Result<(), String> {
         for (line_no, line) in snapshot.lines().enumerate() {
             if line.is_empty() {
                 continue;
@@ -682,30 +647,39 @@ mod tests {
         assert_eq!(resp.body_text(), Some("rendered:circle(3,4,5)"));
     }
 
+    fn restore(text: &str) -> Result<DocsServer, String> {
+        let store: Arc<dyn DocStore> = Arc::new(MemStore::new());
+        DocsServer::restore_into(text, store.as_ref())?;
+        Ok(DocsServer::with_store(store))
+    }
+
     #[test]
-    fn snapshot_restore_roundtrip() {
-        let server = DocsServer::new();
-        let doc = create_doc(&server);
-        save_contents(&server, &doc, "persistent content with = & % chars");
-        save_delta(&server, &doc, "+more ");
-        let snapshot = server.snapshot();
-        let restored = DocsServer::restore(&snapshot).unwrap();
+    fn restore_into_replays_a_text_snapshot_exactly() {
+        let doc_line = form::encode_pairs(&[
+            ("docID", "doc1"),
+            ("content", "persistent content with = & % chars"),
+            ("version", "2"),
+            ("revision", ""),
+            ("revision", "v1"),
+        ]);
+        let restored = restore(&format!("next_doc=1\nnext_session=4\n{doc_line}\n")).unwrap();
         assert_eq!(
-            restored.stored_content(&doc),
-            server.stored_content(&doc)
+            restored.stored_content("doc1").as_deref(),
+            Some("persistent content with = & % chars")
         );
-        assert_eq!(restored.stored_version(&doc), server.stored_version(&doc));
-        assert_eq!(restored.stored_revisions(&doc), server.stored_revisions(&doc));
+        assert_eq!(restored.stored_version("doc1"), Some(2));
+        assert_eq!(restored.stored_revisions("doc1"), Some(vec![String::new(), "v1".into()]));
+        assert_eq!(restored.store().meta(META_NEXT_SESSION), Some(4));
         // Restored servers continue issuing fresh ids.
         let resp = restored.handle(&Request::post("/Doc", &[("cmd", "create")], ""));
         let pairs = form::parse_pairs(resp.body_text().unwrap()).unwrap();
-        assert_ne!(form::first_value(&pairs, "docID"), Some(doc.as_str()));
+        assert_eq!(form::first_value(&pairs, "docID"), Some("doc2"));
     }
 
     #[test]
     fn restore_rejects_garbage() {
-        assert!(DocsServer::restore("next_doc=abc").is_err());
-        assert!(DocsServer::restore("content=x").is_err(), "missing docID");
+        assert!(restore("next_doc=abc").is_err());
+        assert!(restore("content=x").is_err(), "missing docID");
     }
 
     #[test]

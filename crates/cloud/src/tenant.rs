@@ -710,15 +710,21 @@ mod tests {
     }
 
     #[test]
-    fn records_hidden_from_document_listing_but_snapshotted() {
+    fn records_hidden_from_document_listing_but_migrated() {
         let server = DocsServer::new();
         register(&server, "alice", &ALICE_V);
         let created = server.handle(&Request::post("/Doc", &[("cmd", "create")], ""));
         assert!(created.is_success());
         assert_eq!(server.list_documents(), vec!["doc1".to_string()]);
-        // The snapshot/restore path must still carry the records (with
-        // the verifier intact server-side, redacted on read).
-        let restored = DocsServer::restore(&server.snapshot()).unwrap();
+        // A text-snapshot store carries the records as documents; its
+        // migration must keep them (with the verifier intact server-side,
+        // redacted on read).
+        let id = format!("{TENANT_PREFIX}u/alice");
+        let record = server.stored_content(&id).unwrap();
+        let line = form::encode_pairs(&[("docID", id.as_str()), ("content", record.as_str())]);
+        let store = std::sync::Arc::new(pe_store::MemStore::new());
+        DocsServer::restore_into(&line, store.as_ref()).unwrap();
+        let restored = DocsServer::with_store(store);
         assert_eq!(get(&restored, "u/alice").status, 200);
         let verify = restored.handle(&Request::post(
             "/tenant/verify",

@@ -90,8 +90,15 @@ fn revision_history_also_survives_the_wire_identically() {
     server.shutdown();
 
     // Every stored revision matches, not just the head.
-    let direct = direct_backend.snapshot();
-    let wire = wire_backend.snapshot();
-    assert_eq!(direct, wire, "full provider state (incl. history) must match");
+    let state = |backend: &DocsServer| {
+        let store = backend.store();
+        let docs: Vec<_> = store.list().into_iter().map(|id| (store.get(&id), id)).collect();
+        (docs, store.meta_entries())
+    };
+    assert_eq!(
+        state(&direct_backend),
+        state(&wire_backend),
+        "full provider state (incl. history) must match"
+    );
     let _ = doc;
 }

@@ -9,9 +9,13 @@
 //!   delete, meta, snapshot-marker), length-prefixed and CRC-checksummed.
 //! * [`wal`] — append-only segment files with a configurable
 //!   [`FsyncPolicy`] and torn-tail detection on replay.
-//! * [`LogStore`] — the log-structured engine: a sharded in-memory index
-//!   rebuilt by WAL replay at open, plus background snapshot + log
-//!   compaction that garbage-collects superseded segments.
+//! * [`ShardedLogStore`] — the on-disk store: N independent WAL shards
+//!   behind an atomic manifest, with documents routed by id. A store
+//!   from before sharding is migrated in place the first time it opens.
+//! * [`LogStore`] — the log-structured engine behind each shard: a
+//!   sharded in-memory index rebuilt by WAL replay at open, plus
+//!   background snapshot + log compaction that garbage-collects
+//!   superseded segments.
 //! * [`MemStore`] — the old `HashMap` behaviour behind the same trait,
 //!   for tests and benchmark baselines.
 //! * [`StoreFaults`] — a seeded crash-point injector (fail-before-fsync,
@@ -27,14 +31,16 @@
 //! # Example
 //!
 //! ```
-//! use pe_store::{DocStore, LogStore, StoreConfig};
+//! use pe_store::{DocStore, ShardedLogStore, StoreConfig};
 //! let dir = std::env::temp_dir().join(format!("pe-store-doc-{}", std::process::id()));
 //! # let _ = std::fs::remove_dir_all(&dir);
-//! let store = LogStore::open(&dir, StoreConfig::default()).unwrap();
+//! let store = ShardedLogStore::open(&dir, 2, StoreConfig::default()).unwrap();
 //! store.create("doc1").unwrap();
 //! store.put_full("doc1", b"ciphertext bytes").unwrap();
 //! drop(store); // crash or exit — the WAL has the bytes
-//! let store = LogStore::open(&dir, StoreConfig::default()).unwrap();
+//! // Reopening keeps the shard count recorded in the manifest.
+//! let store = ShardedLogStore::open(&dir, 8, StoreConfig::default()).unwrap();
+//! assert_eq!(store.shard_count(), 2);
 //! assert_eq!(store.content("doc1").unwrap(), b"ciphertext bytes");
 //! # drop(store);
 //! # std::fs::remove_dir_all(&dir).unwrap();

@@ -343,7 +343,7 @@ impl LogStore {
     }
 
     /// A point-in-time copy of every document and meta entry — the
-    /// migration source for converting a legacy store into shards.
+    /// migration source for converting a pre-sharding store into shards.
     pub(crate) fn snapshot_state(&self) -> SnapshotState {
         (self.inner.index.snapshot_docs(), self.inner.index.meta_entries())
     }
@@ -663,7 +663,7 @@ pub struct FsckReport {
     /// Non-fatal notes (e.g. a recoverable torn tail).
     pub warnings: Vec<String>,
     /// For a sharded root: one sub-report per shard (directory name,
-    /// findings). Empty for a legacy single-directory store.
+    /// findings). Empty for a pre-sharding directory not yet migrated.
     pub shards: Vec<(String, FsckReport)>,
 }
 
@@ -732,8 +732,8 @@ impl FsckReport {
 
 /// Read-only verification of a store directory: validates every
 /// snapshot's CRC and every WAL frame, without modifying anything.
-/// Understands both layouts: a legacy single-directory store is checked
-/// in place, while a sharded root (one carrying a
+/// A pre-sharding single-directory store that has not been migrated yet
+/// is checked in place, while a sharded root (one carrying a
 /// [`crate::MANIFEST_NAME`] manifest) gets one sub-report per shard and
 /// is healthy only if every shard is.
 ///
@@ -766,7 +766,7 @@ pub fn fsck(dir: impl AsRef<Path>) -> Result<FsckReport, StoreError> {
     fsck_one(dir)
 }
 
-/// Verifies one physical store directory (a legacy root or one shard).
+/// Verifies one physical store directory (an unmigrated root or a shard).
 fn fsck_one(dir: &Path) -> Result<FsckReport, StoreError> {
     let mut report = FsckReport::default();
     if !dir.is_dir() {

@@ -19,15 +19,15 @@
 //! usually land on different WALs and different group-commit fsyncs.
 //! Meta counters live on shard 0 (they are global, not per-document).
 //!
-//! ## Legacy stores
+//! ## Migration
 //!
 //! A directory holding `wal-*.log`/`snap-*.snap` files directly (every
-//! store created before sharding existed) opens in *legacy mode*: one
-//! shard rooted at the directory itself, no manifest written. Migration
-//! to a sharded layout is explicit ([`ShardedLogStore::migrate`],
-//! surfaced as `pedit compact DIR --shards N`) and crash-safe: shard
-//! snapshots are published first, the manifest second, and the legacy
-//! files removed last — the manifest's existence is the commit point.
+//! store created before sharding existed) is migrated in place the first
+//! time [`ShardedLogStore::open`] sees it, to the requested shard count.
+//! Migration is crash-safe: shard snapshots are published first, the
+//! manifest second, and the old files removed last — the manifest's
+//! existence is the commit point. A migration that dies before its
+//! manifest restarts from the old files on the next open.
 //!
 //! ## Recovery
 //!
@@ -90,30 +90,12 @@ pub(crate) fn read_manifest(dir: &Path) -> Result<usize, StoreError> {
     Ok(shards)
 }
 
-/// Whether `dir` holds legacy single-directory store files.
-fn has_legacy_files(dir: &Path) -> Result<bool, StoreError> {
-    for entry in std::fs::read_dir(dir)? {
-        let name = entry?.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if wal::parse_segment_name(name).is_some()
-            || snapfile::parse_snapshot_name(name).is_some()
-        {
-            return Ok(true);
-        }
-    }
-    Ok(false)
-}
-
-/// Shard subdirectories present in `dir` (sorted by index).
-fn existing_shard_dirs(dir: &Path) -> Result<Vec<PathBuf>, StoreError> {
+/// Paths of the entries of `dir` whose names satisfy `keep`, sorted.
+fn entries(dir: &Path, keep: impl Fn(&str) -> bool) -> Result<Vec<PathBuf>, StoreError> {
     let mut found = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if name.strip_prefix("shard-").is_some_and(|n| n.parse::<usize>().is_ok())
-            && entry.path().is_dir()
-        {
+        if entry.file_name().to_str().is_some_and(&keep) {
             found.push(entry.path());
         }
     }
@@ -121,23 +103,30 @@ fn existing_shard_dirs(dir: &Path) -> Result<Vec<PathBuf>, StoreError> {
     Ok(found)
 }
 
-fn remove_legacy_files(dir: &Path) -> Result<u64, StoreError> {
-    let mut removed = 0u64;
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if wal::parse_segment_name(name).is_some()
-            || snapfile::parse_snapshot_name(name).is_some()
-        {
-            std::fs::remove_file(entry.path())?;
-            removed += 1;
-        }
+/// Pre-sharding store files (WAL segments, snapshots) directly in `dir`.
+fn presharding_files(dir: &Path) -> Result<Vec<PathBuf>, StoreError> {
+    entries(dir, |n| {
+        wal::parse_segment_name(n).is_some() || snapfile::parse_snapshot_name(n).is_some()
+    })
+}
+
+/// Shard subdirectories present in `dir` (sorted by index).
+fn existing_shard_dirs(dir: &Path) -> Result<Vec<PathBuf>, StoreError> {
+    let named = entries(dir, |n| {
+        n.strip_prefix("shard-").is_some_and(|i| i.parse::<usize>().is_ok())
+    })?;
+    Ok(named.into_iter().filter(|path| path.is_dir()).collect())
+}
+
+fn remove_presharding_files(dir: &Path) -> Result<(), StoreError> {
+    let files = presharding_files(dir)?;
+    for file in &files {
+        std::fs::remove_file(file)?;
     }
-    if removed > 0 {
+    if !files.is_empty() {
         wal::sync_dir(dir)?;
     }
-    Ok(removed)
+    Ok(())
 }
 
 /// Opens all shard stores in parallel, one scoped thread per shard.
@@ -167,12 +156,46 @@ fn open_shards_parallel(
         .collect()
 }
 
+/// Converts a pre-sharding single-directory store at `dir` into a
+/// `count`-way sharded layout, in place.
+///
+/// Crash-safe ordering: per-shard snapshots are published and fsynced
+/// first, then the manifest (the commit point), then the pre-sharding
+/// files are deleted. A crash before the manifest leaves the old store
+/// authoritative and the next open starts over; after it, open finishes
+/// the cleanup.
+fn migrate(dir: &Path, count: usize, config: StoreConfig) -> Result<(), StoreError> {
+    // Stale shard dirs can only be debris from a migration that crashed
+    // before its manifest; the old files are still the truth, so start
+    // over.
+    for stale in existing_shard_dirs(dir)? {
+        std::fs::remove_dir_all(&stale)?;
+    }
+    let (docs, meta) = LogStore::open(dir, config)?.snapshot_state();
+    for shard in 0..count {
+        let sub = shard_dir(dir, shard);
+        std::fs::create_dir_all(&sub)?;
+        let own: Vec<(String, DocState)> = docs
+            .iter()
+            .filter(|(id, _)| (hash_id(id) % count as u64) as usize == shard)
+            .cloned()
+            .collect();
+        // Meta is global state; it lives on shard 0.
+        let own_meta = if shard == 0 { meta.clone() } else { Vec::new() };
+        let (tmp, _bytes) = snapfile::write_snapshot_tmp(&sub, 0, &own, &own_meta)?;
+        snapfile::publish_snapshot(&sub, &tmp, 0)?;
+    }
+    write_manifest(dir, count)?;
+    remove_presharding_files(dir)?;
+    pe_observe::static_counter!("store.shard.migrations").inc();
+    Ok(())
+}
+
 /// A [`DocStore`] that routes documents across N independent
 /// [`LogStore`] shards. See the module docs for layout and semantics.
 pub struct ShardedLogStore {
     dir: PathBuf,
     shards: Vec<LogStore>,
-    legacy: bool,
     /// Set when any shard reports an injected crash or fsync failure:
     /// a real process would have died whole, so the entire store
     /// refuses further work, not just the failed shard.
@@ -184,7 +207,6 @@ impl std::fmt::Debug for ShardedLogStore {
         f.debug_struct("ShardedLogStore")
             .field("dir", &self.dir)
             .field("shards", &self.shards.len())
-            .field("legacy", &self.legacy)
             .finish()
     }
 }
@@ -195,16 +217,17 @@ impl ShardedLogStore {
     /// - An existing sharded root (manifest present) opens with its
     ///   recorded shard count — `shards` is ignored; routing must match
     ///   the layout that wrote the data.
-    /// - A legacy single-directory store opens in legacy mode (one
-    ///   shard rooted at `dir` itself); see [`ShardedLogStore::migrate`].
-    /// - A fresh directory is initialized with `shards` shards
-    ///   (clamped to `1..=MAX_SHARDS`).
+    /// - A pre-sharding single-directory store is migrated in place to
+    ///   `shards` shards first (see the module docs).
+    /// - A fresh directory is initialized with `shards` shards.
+    ///
+    /// `shards` is clamped to `1..=MAX_SHARDS`.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] on filesystem failures, [`StoreError::Corrupt`]
-    /// on a bad manifest, shard directories with no manifest, or any
-    /// shard failing validation.
+    /// on a bad manifest, shard directories with no manifest and no
+    /// pre-sharding files, or any shard failing validation.
     pub fn open(
         dir: impl AsRef<Path>,
         shards: usize,
@@ -214,35 +237,30 @@ impl ShardedLogStore {
         std::fs::create_dir_all(&dir)?;
         let started = Instant::now();
 
-        let store = if dir.join(MANIFEST_NAME).exists() {
+        let count = if dir.join(MANIFEST_NAME).exists() {
             let count = read_manifest(&dir)?;
             // A crash between publishing the manifest and deleting the
-            // legacy files leaves stale duplicates; the manifest is the
-            // commit point, so finish the cleanup here.
-            remove_legacy_files(&dir)?;
-            let shards = open_shards_parallel(&dir, count, config)?;
-            ShardedLogStore { dir, shards, legacy: false, poisoned: AtomicBool::new(false) }
-        } else if has_legacy_files(&dir)? {
-            let store = LogStore::open(&dir, config)?;
-            ShardedLogStore {
-                dir,
-                shards: vec![store],
-                legacy: true,
-                poisoned: AtomicBool::new(false),
-            }
+            // pre-sharding files leaves stale duplicates; the manifest is
+            // the commit point, so finish the cleanup here.
+            remove_presharding_files(&dir)?;
+            count
         } else {
-            if !existing_shard_dirs(&dir)?.is_empty() {
+            let count = shards.clamp(1, MAX_SHARDS);
+            if !presharding_files(&dir)?.is_empty() {
+                migrate(&dir, count, config)?;
+            } else if existing_shard_dirs(&dir)?.is_empty() {
+                write_manifest(&dir, count)?;
+            } else {
                 return Err(StoreError::Corrupt(format!(
                     "{}: shard directories present but no {MANIFEST_NAME} manifest \
-                     (interrupted migration? re-run migrate, or restore the manifest)",
+                     (restore the manifest)",
                     dir.display()
                 )));
             }
-            let count = shards.clamp(1, MAX_SHARDS);
-            write_manifest(&dir, count)?;
-            let shards = open_shards_parallel(&dir, count, config)?;
-            ShardedLogStore { dir, shards, legacy: false, poisoned: AtomicBool::new(false) }
+            count
         };
+        let shards = open_shards_parallel(&dir, count, config)?;
+        let store = ShardedLogStore { dir, shards, poisoned: AtomicBool::new(false) };
 
         pe_observe::gauge("store.shard.count").set(store.shards.len() as u64);
         pe_observe::static_histogram!("store.shard.parallel_open_ns")
@@ -250,75 +268,14 @@ impl ShardedLogStore {
         Ok(store)
     }
 
-    /// Converts a legacy single-directory store into an `shards`-way
-    /// sharded layout, in place, and opens the result. A no-op (plain
-    /// open) when `dir` is already sharded or fresh.
-    ///
-    /// Crash-safe ordering: per-shard snapshots are published and
-    /// fsynced first, then the manifest (the commit point), then the
-    /// legacy files are deleted. A crash before the manifest leaves the
-    /// legacy store authoritative; after it, open finishes the cleanup.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] / [`StoreError::Corrupt`] from either layout.
-    pub fn migrate(
-        dir: impl AsRef<Path>,
-        shards: usize,
-        config: StoreConfig,
-    ) -> Result<ShardedLogStore, StoreError> {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        if dir.join(MANIFEST_NAME).exists() || !has_legacy_files(&dir)? {
-            return ShardedLogStore::open(&dir, shards, config);
-        }
-
-        // Stale shard dirs can only be debris from a migration that
-        // crashed before its manifest; the legacy files are still the
-        // truth, so start over.
-        for stale in existing_shard_dirs(&dir)? {
-            std::fs::remove_dir_all(&stale)?;
-        }
-
-        let count = shards.clamp(1, MAX_SHARDS);
-        let (docs, meta) = {
-            let legacy = LogStore::open(&dir, config)?;
-            legacy.snapshot_state()
-        };
-
-        for shard in 0..count {
-            let sub = shard_dir(&dir, shard);
-            std::fs::create_dir_all(&sub)?;
-            let own: Vec<(String, DocState)> = docs
-                .iter()
-                .filter(|(id, _)| (hash_id(id) % count as u64) as usize == shard)
-                .cloned()
-                .collect();
-            // Meta is global state; it lives on shard 0.
-            let own_meta = if shard == 0 { meta.clone() } else { Vec::new() };
-            let (tmp, _bytes) = snapfile::write_snapshot_tmp(&sub, 0, &own, &own_meta)?;
-            snapfile::publish_snapshot(&sub, &tmp, 0)?;
-        }
-        write_manifest(&dir, count)?;
-        remove_legacy_files(&dir)?;
-        pe_observe::static_counter!("store.shard.migrations").inc();
-
-        ShardedLogStore::open(&dir, count, config)
-    }
-
     /// The store root directory.
     pub fn dir(&self) -> &Path {
         &self.dir
     }
 
-    /// Number of shards (1 in legacy mode).
+    /// Number of shards, as recorded in the manifest.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Whether this opened as a legacy single-directory store.
-    pub fn is_legacy(&self) -> bool {
-        self.legacy
     }
 
     /// Shard index a document id routes to.

@@ -102,20 +102,6 @@ fn encode_payload(record: &Record, payload_buf: &mut Vec<u8>) -> [u8; FRAME_HEAD
     header
 }
 
-/// Serializes one record with framing (length + CRC + payload).
-///
-/// The append hot path streams the header and payload separately (see
-/// [`SegmentWriter::append`]); this contiguous form serves tests and
-/// tooling that want frame bytes in hand.
-pub fn encode_frame(record: &Record) -> Vec<u8> {
-    let mut payload = Vec::new();
-    let header = encode_payload(record, &mut payload);
-    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
-    frame.extend_from_slice(&header);
-    frame.extend_from_slice(&payload);
-    frame
-}
-
 /// What one segment replay saw.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReplayStats {

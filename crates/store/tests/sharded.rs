@@ -1,6 +1,5 @@
 //! Integration tests for [`ShardedLogStore`]: layout detection, routing,
-//! legacy mode, in-place migration, concurrent appenders, and sharded
-//! fsck.
+//! in-place migration on open, concurrent appenders, and sharded fsck.
 
 use std::path::PathBuf;
 
@@ -49,7 +48,6 @@ fn fresh_store_writes_manifest_and_routes_documents() {
     let dir = TempDir::new("fresh");
     let store = ShardedLogStore::open(&dir.0, 4, StoreConfig::default()).unwrap();
     assert_eq!(store.shard_count(), 4);
-    assert!(!store.is_legacy());
     assert!(dir.0.join(MANIFEST_NAME).is_file());
     for shard in 0..4 {
         assert!(shard_dir(&dir.0, shard).is_dir(), "shard {shard} directory exists");
@@ -87,22 +85,33 @@ fn reopen_uses_manifest_count_and_recovers_all_shards() {
     assert_eq!(store.meta("next_doc"), Some(20));
 }
 
+/// Names of pre-sharding WAL segments and snapshots left at the root.
+fn root_store_files(dir: &std::path::Path) -> Vec<String> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| e.unwrap().file_name().into_string().ok())
+        .filter(|n| n.ends_with(".log") || n.ends_with(".snap"))
+        .collect()
+}
+
 #[test]
-fn legacy_directory_opens_in_legacy_mode_without_migrating() {
-    let dir = TempDir::new("legacy");
+fn plain_open_migrates_a_pre_sharding_directory() {
+    let dir = TempDir::new("presharding");
     {
-        let legacy = LogStore::open(&dir.0, StoreConfig::default()).unwrap();
-        legacy.put_full("old-doc", b"pre-sharding bytes").unwrap();
+        let old = LogStore::open(&dir.0, StoreConfig::default()).unwrap();
+        old.put_full("old-doc", b"pre-sharding bytes").unwrap();
     }
     let store = ShardedLogStore::open(&dir.0, 8, StoreConfig::default()).unwrap();
-    assert!(store.is_legacy());
-    assert_eq!(store.shard_count(), 1);
-    assert!(!dir.0.join(MANIFEST_NAME).exists(), "plain open must not migrate");
+    assert_eq!(store.shard_count(), 8);
+    assert!(dir.0.join(MANIFEST_NAME).is_file(), "open must migrate");
+    let leftover = root_store_files(&dir.0);
+    assert!(leftover.is_empty(), "pre-sharding files must be removed: {leftover:?}");
     assert_eq!(store.content("old-doc").unwrap(), b"pre-sharding bytes");
-    // Legacy mode is fully writable.
     store.put_full("new-doc", b"still works").unwrap();
     drop(store);
-    let reread = LogStore::open(&dir.0, StoreConfig::default()).unwrap();
+    let reread = ShardedLogStore::open(&dir.0, 1, StoreConfig::default()).unwrap();
+    assert_eq!(reread.shard_count(), 8);
+    assert_eq!(reread.content("old-doc").unwrap(), b"pre-sharding bytes");
     assert_eq!(reread.content("new-doc").unwrap(), b"still works");
 }
 
@@ -111,8 +120,8 @@ fn migration_preserves_versions_revisions_and_meta_exactly() {
     let dir = TempDir::new("migrate");
     let model = MemStore::new();
     {
-        let legacy = LogStore::open(&dir.0, StoreConfig::default()).unwrap();
-        for store in [&legacy as &dyn DocStore, &model as &dyn DocStore] {
+        let old = LogStore::open(&dir.0, StoreConfig::default()).unwrap();
+        for store in [&old as &dyn DocStore, &model as &dyn DocStore] {
             store.create("alpha").unwrap();
             store.put_full("alpha", b"first").unwrap();
             store.put_full("alpha", b"second").unwrap();
@@ -125,52 +134,40 @@ fn migration_preserves_versions_revisions_and_meta_exactly() {
             store.set_meta("next_session", 7).unwrap();
         }
     }
-    let migrated = ShardedLogStore::migrate(&dir.0, 4, StoreConfig::default()).unwrap();
+    let migrated = ShardedLogStore::open(&dir.0, 4, StoreConfig::default()).unwrap();
     assert_eq!(migrated.shard_count(), 4);
-    assert!(!migrated.is_legacy());
     assert_eq!(observe(&migrated), observe(&model), "migration must be lossless");
-    // Legacy files are gone; the root holds only manifest + shard dirs.
-    let top: Vec<String> = std::fs::read_dir(&dir.0)
-        .unwrap()
-        .filter_map(|e| e.unwrap().file_name().into_string().ok())
-        .filter(|n| n.ends_with(".log") || n.ends_with(".snap"))
-        .collect();
-    assert!(top.is_empty(), "legacy files must be removed: {top:?}");
+    // The root holds only manifest + shard dirs.
+    let top = root_store_files(&dir.0);
+    assert!(top.is_empty(), "pre-sharding files must be removed: {top:?}");
     drop(migrated);
 
     // Reopen sees the sharded layout and the same state.
     let reopened = ShardedLogStore::open(&dir.0, 1, StoreConfig::default()).unwrap();
     assert_eq!(reopened.shard_count(), 4);
     assert_eq!(observe(&reopened), observe(&model));
-    // Migrating an already-sharded store is a plain open.
-    drop(reopened);
-    let again = ShardedLogStore::migrate(&dir.0, 8, StoreConfig::default()).unwrap();
-    assert_eq!(again.shard_count(), 4);
 }
 
 #[test]
 fn migration_restarts_over_stale_shard_debris() {
     let dir = TempDir::new("debris");
     {
-        let legacy = LogStore::open(&dir.0, StoreConfig::default()).unwrap();
-        legacy.put_full("doc", b"authoritative").unwrap();
+        let old = LogStore::open(&dir.0, StoreConfig::default()).unwrap();
+        old.put_full("doc", b"authoritative").unwrap();
     }
     // Simulate a migration that crashed before publishing its manifest:
-    // a stale shard directory exists, the legacy files are still the
-    // truth.
+    // a stale shard directory exists, the pre-sharding files are still
+    // the truth.
     std::fs::create_dir_all(shard_dir(&dir.0, 0)).unwrap();
     std::fs::write(shard_dir(&dir.0, 0).join("garbage"), b"half-written").unwrap();
 
-    // Plain open stays on the legacy store.
-    {
-        let store = ShardedLogStore::open(&dir.0, 4, StoreConfig::default()).unwrap();
-        assert!(store.is_legacy());
-        assert_eq!(store.content("doc").unwrap(), b"authoritative");
-    }
-    // Migration clears the debris and completes.
-    let migrated = ShardedLogStore::migrate(&dir.0, 2, StoreConfig::default()).unwrap();
+    // Open clears the debris and completes the migration.
+    let migrated = ShardedLogStore::open(&dir.0, 2, StoreConfig::default()).unwrap();
     assert_eq!(migrated.shard_count(), 2);
     assert_eq!(migrated.content("doc").unwrap(), b"authoritative");
+    assert_eq!(migrated.get("doc").unwrap().version, 1);
+    assert!(!shard_dir(&dir.0, 0).join("garbage").exists(), "debris must be cleared");
+    assert!(root_store_files(&dir.0).is_empty());
 }
 
 #[test]

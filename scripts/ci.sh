@@ -185,6 +185,8 @@ echo "== pedit serve smoke (sharded store) =="
 # explicit: the default is the core count, which is 1 on small runners.
 serve_store="$(mktemp -u)"
 serve_addr="$(mktemp -u)"
+local_store="$(mktemp -u)"
+text_store="$(mktemp -u)"
 pedit() { ./target/release/pedit "$@"; }
 # Spawn the binary directly (not via the function) so $! is the server
 # itself — the crash drill's kill -9 must hit the real process, not a
@@ -195,7 +197,8 @@ serve_pid=$!
 cleanup_serve() {
   kill "$serve_pid" 2>/dev/null || true
   rm -f "$smoke_out" "$net_out" "$collab_out" "$store_out" "$tenant_out" "$serve_addr"
-  rm -rf "$serve_store" "$net_store" "$collab_store"
+  rm -rf "$serve_store" "$net_store" "$collab_store" "$local_store" "$text_store" \
+    "$text_store.legacy"
 }
 trap cleanup_serve EXIT
 for _ in $(seq 1 100); do
@@ -323,6 +326,28 @@ echo "tenant drill OK ($tdoc shared and revoked with zero re-encryption)"
 pedit --connect "$addr" stop
 wait "$serve_pid"
 echo "serve + crash drill OK ($doc survived kill -9 and restart)"
+
+echo "== local store drill (one on-disk format, text-store migration) =="
+# Local commands run on the same durable sharded directory as serve: a
+# fresh --store path becomes a directory with a pe-shards manifest, fsck
+# calls it healthy, and no file under it holds the plaintext.
+local_doc="$(pedit --store "$local_store" create --password local-pw | sed 's/^created //')"
+pedit --store "$local_store" save --doc "$local_doc" --password local-pw --text "local disk secret"
+shown="$(pedit --store "$local_store" show --doc "$local_doc" --password local-pw)"
+[ "$shown" = "local disk secret" ] || { echo "bad local decrypt: $shown" >&2; exit 1; }
+[ -f "$local_store/pe-shards" ] || { echo "local store is not a sharded directory" >&2; exit 1; }
+pedit fsck "$local_store" | grep -q "store healthy" || { echo "fsck failed on the local store" >&2; exit 1; }
+if grep -rqa "local disk secret" "$local_store"; then
+  echo "plaintext leaked to the local store" >&2; exit 1
+fi
+# A one-line text store as older releases wrote it ("born in a text
+# file" under password pw) migrates on its first local show.
+printf '%s\n' 'docID=doc1&content=PE1%3BR%3Bb8%3BDJDXL5MLRMV55CQ26QSIUGWLHA%3B0BQTDUNYQHLAD4YA7GWQDFVIVSA86BBQAGRLTSWOU2NZ3EHFCSI6HY8QVTA2NUYHPCNRCUGNUW52A6NQU3WIJSPNHOB7BA4QDCXQORSCK4AA' >"$text_store"
+shown="$(pedit --store "$text_store" show --doc doc1 --password pw)"
+[ "$shown" = "born in a text file" ] || { echo "text store did not migrate: $shown" >&2; exit 1; }
+[ -f "$text_store/pe-shards" ] || { echo "text store was not migrated to a directory" >&2; exit 1; }
+[ ! -e "$text_store.legacy" ] || { echo "migration left the text store behind" >&2; exit 1; }
+echo "local store drill OK"
 
 echo "== committed benchmark reports =="
 # The checked-in BENCH_*.json files must match the schema the current
