@@ -66,7 +66,7 @@ fn main() {
          long-poll subscription; {rounds} append+merge rounds."
     );
     println!(
-        "Push latency is publisher-ack → subscriber-apply; the poll baseline probes \
+        "Push latency is publisher-send → subscriber-apply; the poll baseline probes \
          every {poll_interval_ms} ms instead of parking.\n"
     );
 

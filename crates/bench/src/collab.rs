@@ -20,9 +20,13 @@
 //!   stream strategy; its latency is dominated by the interval
 //!   (`collab.poll_delivery_ns`).
 //!
-//! Latency is stamped from the *publisher's* save ack to the
-//! *subscriber's* application of that sequence — cross-thread, via a
-//! shared seq → `Instant` map — so it includes the whole fan-out path.
+//! Latency runs from just before the *publisher* sends the save that
+//! was acknowledged to the *subscriber's* application of its sequence —
+//! cross-thread, via a shared seq → `Instant` map — so it includes the
+//! whole path: the save, its fan-out, and the subscriber's decrypt. The
+//! server fans out before it acks, so only a stamp taken before the
+//! send is guaranteed to precede every delivery; a sample that still
+//! lands before its stamp is counted as an error, never clamped.
 //! At the end of a row every editor must hold byte-for-byte identical
 //! plaintext, equal to a fresh reader's decryption of the server copy.
 
@@ -60,7 +64,7 @@ pub struct CollabLoadRow {
     pub wall_s: f64,
     /// Deliveries per second across the whole fan-out.
     pub fanout_per_s: f64,
-    /// Push-path delivery latency, publisher ack → subscriber apply.
+    /// Push-path delivery latency, publisher send → subscriber apply.
     pub push_p50_ns: u64,
     /// Push-path tail latency.
     pub push_p99_ns: u64,
@@ -72,7 +76,8 @@ pub struct CollabLoadRow {
     pub poll_p99_ns: u64,
     /// Sessions that fell back to a full-content resync.
     pub resyncs: u64,
-    /// Editor sessions that failed outright — must be zero.
+    /// Editor sessions that failed outright, plus delivery samples that
+    /// preceded their publisher's stamp — must be zero.
     pub errors: u64,
     /// Every editor ended byte-for-byte equal to the server copy.
     pub converged: bool,
@@ -108,35 +113,40 @@ fn join_session(
     LiveSession::start(client, channel, name, None).map_err(|e| format!("{name}: {e}"))
 }
 
-/// Records delivery latency for every newly-covered foreign sequence.
+/// Records delivery latency for every newly-covered foreign sequence
+/// and returns how many samples preceded their stamp (each an error:
+/// the stamp is taken before the save is sent, so no delivery can
+/// honestly precede it).
 ///
 /// Delivery can outrun the bookkeeping: the server fans out *before* the
 /// ack travels back to the publisher, so a fast subscriber may apply a
-/// sequence before its `Instant` stamp lands in `publishes`. Unmatched
-/// sequences are parked in `pending` with their apply time and resolved
-/// on a later call once the stamp shows up (clamping at zero if the
-/// stamp post-dates the apply).
+/// sequence before the publisher has filed its stamp in `publishes`.
+/// Unmatched sequences are parked in `pending` with their apply time and
+/// resolved on a later call once the stamp shows up.
 fn record_deliveries(
     histogram: &'static pe_observe::Histogram,
     publishes: &Mutex<HashMap<u64, Instant>>,
     pending: &mut Vec<(u64, Instant)>,
     prev_since: u64,
     new_since: u64,
-) {
+) -> u64 {
     let applied_at = Instant::now();
     for seq in prev_since.saturating_add(1)..=new_since {
         pending.push((seq, applied_at));
     }
     let map = publishes.lock().unwrap_or_else(|e| e.into_inner());
+    let mut early = 0;
     pending.retain(|(seq, at)| match map.get(seq) {
         Some(stamp) => {
-            let latency =
-                at.checked_duration_since(*stamp).unwrap_or(Duration::ZERO).as_nanos() as u64;
-            histogram.record(latency.max(1));
+            match at.checked_duration_since(*stamp) {
+                Some(latency) => histogram.record(latency.as_nanos() as u64),
+                None => early += 1,
+            }
             false
         }
         None => true,
     });
+    early
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -179,11 +189,11 @@ fn editor_session(
         if !saved {
             return Err(format!("{name}: save conflicted out in round {round}"));
         }
-        if let Some(version) = session.client().last_ack_version() {
-            publishes
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .insert(version, Instant::now());
+        // Every send is stamped just before it leaves; the acknowledged
+        // one's stamp is filed under the version it landed at.
+        let client = session.client();
+        if let (Some(version), Some(sent)) = (client.last_ack_version(), client.last_save_sent()) {
+            publishes.lock().unwrap_or_else(|e| e.into_inner()).insert(version, sent);
         }
         let outcome = session.step(wait).map_err(|e| format!("{name}: {e}"))?;
         deliveries += outcome.applied as u64;
@@ -214,7 +224,8 @@ fn editor_session(
 }
 
 /// The push listener: stays parked in long-polls, woken by every
-/// accepted save. Runs until `stop` flips.
+/// accepted save. Runs until `stop` flips; returns its deliveries and
+/// the samples that preceded their stamp.
 fn watcher_session(
     addr: std::net::SocketAddr,
     doc: &str,
@@ -222,7 +233,7 @@ fn watcher_session(
     publishes: &Mutex<HashMap<u64, Instant>>,
     start: &Barrier,
     stop: &AtomicBool,
-) -> Result<u64, String> {
+) -> Result<(u64, u64), String> {
     let wait = Duration::from_millis(1500);
     let joined = join_session(addr, doc, "watcher", seed, wait);
     // The editors start typing only once both listeners are subscribed,
@@ -231,18 +242,19 @@ fn watcher_session(
     let mut session = joined?;
     let mut pending = Vec::new();
     let push_latency = pe_observe::static_histogram!("collab.push_delivery_ns");
-    let mut deliveries = 0u64;
+    let (mut deliveries, mut early) = (0u64, 0u64);
     while !stop.load(Ordering::SeqCst) {
         let before = session.since();
         let outcome = session.step(wait).map_err(|e| format!("watcher: {e}"))?;
         deliveries += outcome.applied as u64;
-        record_deliveries(push_latency, publishes, &mut pending, before, session.since());
+        early += record_deliveries(push_latency, publishes, &mut pending, before, session.since());
     }
-    Ok(deliveries)
+    Ok((deliveries, early))
 }
 
 /// The pre-change-stream baseline: probe with `waitMs=0` every
-/// `interval`, never parking. Runs until `stop` flips.
+/// `interval`, never parking. Runs until `stop` flips; returns as
+/// [`watcher_session`] does.
 fn poller_session(
     addr: std::net::SocketAddr,
     doc: &str,
@@ -251,21 +263,21 @@ fn poller_session(
     publishes: &Mutex<HashMap<u64, Instant>>,
     start: &Barrier,
     stop: &AtomicBool,
-) -> Result<u64, String> {
+) -> Result<(u64, u64), String> {
     let joined = join_session(addr, doc, "poller", seed, interval);
     start.wait();
     let mut session = joined?;
     let mut pending = Vec::new();
     let poll_latency = pe_observe::static_histogram!("collab.poll_delivery_ns");
-    let mut deliveries = 0u64;
+    let (mut deliveries, mut early) = (0u64, 0u64);
     while !stop.load(Ordering::SeqCst) {
         let before = session.since();
         let outcome = session.step(Duration::ZERO).map_err(|e| format!("poller: {e}"))?;
         deliveries += outcome.applied as u64;
-        record_deliveries(poll_latency, publishes, &mut pending, before, session.since());
+        early += record_deliveries(poll_latency, publishes, &mut pending, before, session.since());
         std::thread::sleep(interval);
     }
-    Ok(deliveries)
+    Ok((deliveries, early))
 }
 
 /// Runs the fan-out at each level in `editor_counts`, each row on a
@@ -372,16 +384,22 @@ fn run_row(
         .collect();
     let wall_s = started.elapsed().as_secs_f64();
     stop_listeners.store(true, Ordering::SeqCst);
-    let listener_deliveries: u64 = [watcher.join(), poller.join()]
-        .into_iter()
-        .map(|joined| match joined {
-            Ok(Ok(n)) => n,
-            _ => 0,
-        })
-        .sum();
-
+    let mut deliveries = 0u64;
+    let mut early_samples = 0u64;
+    for (listener, joined) in [("watcher", watcher.join()), ("poller", poller.join())] {
+        match joined {
+            Ok(Ok((n, early))) => {
+                deliveries += n;
+                if early > 0 {
+                    eprintln!("{listener}: {early} deliveries preceded their publisher's stamp");
+                }
+                early_samples += early;
+            }
+            Ok(Err(message)) => eprintln!("{listener} failed: {message}"),
+            Err(_) => eprintln!("{listener} thread panicked"),
+        }
+    }
     let mut errors = 0u64;
-    let mut deliveries = listener_deliveries;
     let mut resyncs = 0u64;
     let mut contents: Vec<String> = Vec::new();
     for outcome in outcomes {
@@ -441,7 +459,7 @@ fn run_row(
         poll_p50_ns,
         poll_p99_ns,
         resyncs,
-        errors,
+        errors: errors + early_samples,
         converged,
         doc_bytes: server_copy.len(),
     }

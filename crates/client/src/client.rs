@@ -90,6 +90,9 @@ pub struct DocsClient<C> {
     /// protocol is unchanged. Once armed, every sync point (fetch, save
     /// ack) refreshes it.
     base_version: Option<u64>,
+    /// When the last save request was handed to the channel — the
+    /// moment before the send, whatever the server answered.
+    last_save_sent: Option<std::time::Instant>,
     /// Delay schedule between failed save attempts in
     /// [`DocsClient::save_with_retry`] and [`DocsClient::save_merging`].
     /// Hammering a struggling server with zero-delay retries only feeds
@@ -120,6 +123,7 @@ impl<C: Channel> DocsClient<C> {
             sent_full_save: false,
             conflicts: 0,
             last_ack_version: None,
+            last_save_sent: None,
             base_version: None,
             backoff: BackoffPolicy::client_default(0),
         })
@@ -180,6 +184,14 @@ impl<C: Channel> DocsClient<C> {
     /// if the server reports versions.
     pub fn last_ack_version(&self) -> Option<u64> {
         self.last_ack_version
+    }
+
+    /// When the last save request was sent (stamped just before the
+    /// send). After a save that came back `Saved`, this is the send the
+    /// server acknowledged: latency benches measure delivery from here,
+    /// since the server fans a save out before its ack returns.
+    pub fn last_save_sent(&self) -> Option<std::time::Instant> {
+        self.last_save_sent
     }
 
     /// Applies a *foreign* delta pushed from the change stream: local
@@ -266,6 +278,7 @@ impl<C: Channel> DocsClient<C> {
             return (SaveOutcome::Clean, 200);
         }
         pe_observe::static_counter!("client.save_attempts").inc();
+        self.last_save_sent = Some(std::time::Instant::now());
         let response = if self.sent_full_save {
             let delta = self.editor.take_pending();
             let serialized = delta.serialize();

@@ -190,9 +190,10 @@ impl DocsServer {
         self.store.content(doc_id).map(|b| String::from_utf8_lossy(&b).into_owned())
     }
 
-    /// Direct (test/bench) access to a document's version counter.
+    /// A document's version counter (the change stream's head after a
+    /// restart; also tests and benches).
     pub fn stored_version(&self, doc_id: &str) -> Option<u64> {
-        self.store.get(doc_id).map(|d| d.version)
+        self.store.current(doc_id).map(|(_, version)| version)
     }
 
     /// Direct (test/bench) access to the stored revision history.
@@ -318,16 +319,16 @@ impl DocsServer {
             Ok(n) => format!("s{n}"),
             Err(e) => return store_error(&e),
         };
-        let Some(doc) = self.store.get(doc_id) else {
+        let Some((content, version)) = self.store.current(doc_id) else {
             return Response::error(404, "no such document");
         };
-        let content = String::from_utf8_lossy(&doc.content).into_owned();
+        let content = String::from_utf8_lossy(&content).into_owned();
         let hash = Self::content_hash(&content);
         Response::ok(form::encode_pairs(&[
             ("sessionID", session.as_str()),
             ("content", content.as_str()),
             ("contentHash", hash.as_str()),
-            ("version", doc.version.to_string().as_str()),
+            ("version", version.to_string().as_str()),
         ]))
     }
 
@@ -390,12 +391,12 @@ impl DocsServer {
     }
 
     fn load(&self, doc_id: &str, caller_hash: Option<&str>) -> Response {
-        let Some(doc) = self.store.get(doc_id) else {
+        let Some((content, version)) = self.store.current(doc_id) else {
             return Response::error(404, "no such document");
         };
-        let content = String::from_utf8_lossy(&doc.content).into_owned();
+        let content = String::from_utf8_lossy(&content).into_owned();
         let hash = Self::content_hash(&content);
-        let version = doc.version.to_string();
+        let version = version.to_string();
         // 304-style fast path for passive readers: when the caller already
         // holds the current content (hashes match), skip the body.
         if caller_hash == Some(hash.as_str()) {

@@ -224,13 +224,15 @@ impl ChangeBus {
     }
 
     /// Stores (or refreshes) one client's sealed presence blob and wakes
-    /// parked subscribers so peers see cursor moves promptly.
-    pub fn set_presence(&self, doc_id: &str, client: &str, sealed: &str) {
+    /// parked subscribers so peers see cursor moves promptly. `head_hint`
+    /// seeds the channel of a document the bus has not seen yet, as in
+    /// [`collect`](ChangeBus::collect).
+    pub fn set_presence(&self, doc_id: &str, client: &str, sealed: &str, head_hint: u64) {
         let wakers = {
             let mut inner = self.lock();
             let channel = inner
                 .entry(doc_id.to_string())
-                .or_insert_with(|| DocChannel::seeded(0));
+                .or_insert_with(|| DocChannel::seeded(head_hint));
             channel.presence.insert(client.to_string(), sealed.to_string());
             pe_observe::static_counter!("collab.presence_updates").inc();
             std::mem::take(&mut channel.wakers)
@@ -408,9 +410,9 @@ mod tests {
     #[test]
     fn presence_is_stored_per_client_and_sorted() {
         let bus = ChangeBus::new(8);
-        bus.set_presence("d", "c2", "blob2");
-        bus.set_presence("d", "c1", "blob1");
-        bus.set_presence("d", "c2", "blob2b");
+        bus.set_presence("d", "c2", "blob2", 0);
+        bus.set_presence("d", "c1", "blob1", 0);
+        bus.set_presence("d", "c2", "blob2b", 0);
         assert_eq!(
             bus.presence("d"),
             vec![("c1".into(), "blob1".into()), ("c2".into(), "blob2b".into())]

@@ -75,11 +75,17 @@ impl LiveDocs {
         &self.bus
     }
 
-    /// The store's current version for `doc_id` — the head hint that
-    /// seeds the bus after a restart. `None` when the document does not
-    /// exist.
+    /// The change-stream head for `doc_id`, `None` when the document
+    /// does not exist. Once the bus has met the document (a save
+    /// published, or an earlier poll seeded it) the bus's own head is
+    /// the answer; only the first meeting reads the store's version,
+    /// which seeds the bus after a restart. So a poll costs O(1) store
+    /// work however long the document's history grows.
     fn head_hint(&self, doc_id: &str) -> Option<u64> {
-        self.docs.store().get(doc_id).map(|d| d.version)
+        if !self.docs.store().contains(doc_id) {
+            return None;
+        }
+        self.bus.head(doc_id).or_else(|| self.docs.stored_version(doc_id))
     }
 
     fn parse_cursor(request: &Request) -> Result<(String, u64), Response> {
@@ -182,9 +188,9 @@ impl LiveDocs {
         if doc_id.is_empty() {
             return Response::error(400, "missing docID");
         }
-        if self.head_hint(doc_id).is_none() {
+        let Some(head) = self.head_hint(doc_id) else {
             return Response::error(404, "no such document");
-        }
+        };
         let Some(body) = request.body_text() else {
             return Response::error(400, "presence body must be UTF-8");
         };
@@ -197,7 +203,7 @@ impl LiveDocs {
         let Some(sealed) = form::first_value(&pairs, "sealed") else {
             return Response::error(400, "missing sealed blob");
         };
-        self.bus.set_presence(doc_id, client, sealed);
+        self.bus.set_presence(doc_id, client, sealed, head);
         Response::ok("ok=1")
     }
 

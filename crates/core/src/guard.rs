@@ -22,7 +22,7 @@ use pe_crypto::sha256::Sha256;
 use crate::baseline::MerkleTree;
 use crate::error::CoreError;
 use crate::wire::{split_records, CipherPatch, Layout};
-use crate::{EditOp, IncrementalCipherDoc};
+use crate::{EditOp, IncrementalCipherDoc, PlainSplice};
 
 /// A confidentiality-only document wrapped with client-side Merkle
 /// integrity.
@@ -140,6 +140,17 @@ impl<D: IncrementalCipherDoc> IncrementalCipherDoc for MerkleGuard<D> {
         Ok(patches)
     }
 
+    fn apply_foreign(&mut self, patches: &[CipherPatch]) -> Result<Vec<PlainSplice>, CoreError> {
+        let splices = self.inner.apply_foreign(patches)?;
+        self.track(patches);
+        debug_assert_eq!(
+            self.tree.root(),
+            MerkleGuard::new_root_of(&self.inner),
+            "tracked tree must match a rebuild"
+        );
+        Ok(splices)
+    }
+
     fn serialize(&self) -> String {
         self.inner.serialize()
     }
@@ -232,6 +243,23 @@ mod tests {
         let doc = guarded(b"fingerprint me", 5);
         assert_eq!(doc.fingerprint(), doc.fingerprint());
         assert_eq!(doc.fingerprint().len(), 16);
+    }
+
+    #[test]
+    fn foreign_splices_keep_the_commitment_in_step() {
+        // A collaborator edits its own copy; the guarded follower absorbs
+        // the splices and commits to exactly what the server now holds.
+        let mut follower = guarded(b"two editors, one commitment", 7);
+        let key = DocumentKey::derive("guard", &[4u8; 16], 100);
+        let served = follower.serialize();
+        let mut writer = RecbDocument::open(&key, &served, CtrDrbg::from_seed(8)).unwrap();
+        for op in [EditOp::insert(3, b" (or more)"), EditOp::delete(0, 4)] {
+            let patches = writer.apply(&op).unwrap();
+            follower.apply_foreign(&patches).unwrap();
+            assert_eq!(follower.serialize(), writer.serialize());
+            follower.verify_served(&writer.serialize()).unwrap();
+        }
+        assert_eq!(follower.decrypt().unwrap(), writer.decrypt().unwrap());
     }
 
     #[test]

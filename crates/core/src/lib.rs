@@ -79,7 +79,7 @@ pub use pack::SealedBlock;
 pub use presence::{Presence, PresenceSealer};
 pub use recb::RecbDocument;
 pub use rpc::RpcDocument;
-pub use transform::{patches_to_delta, update_wire_len, DeltaTransformer};
+pub use transform::{delta_to_patches, patches_to_delta, update_wire_len, DeltaTransformer};
 pub use wire::{CipherPatch, Layout};
 
 /// A byte-level edit operation against the plaintext document.
@@ -115,6 +115,23 @@ impl EditOp {
     pub fn delete(at: usize, len: usize) -> EditOp {
         EditOp::Delete { at, len }
     }
+}
+
+/// The plaintext effect of one foreign record splice, in byte offsets of
+/// the document *before* the change: `removed` bytes starting at `at`
+/// gave way to `inserted`.
+///
+/// Blocks are byte chunks, so `at` and `at + removed` may cut a
+/// multi-byte UTF-8 character; callers that hold text widen the window
+/// to character boundaries themselves.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlainSplice {
+    /// Byte offset of the first replaced byte.
+    pub at: usize,
+    /// Number of bytes replaced.
+    pub removed: usize,
+    /// Replacement bytes (the decrypted inserted blocks).
+    pub inserted: Vec<u8>,
 }
 
 /// The common surface of every encrypted-document implementation: the
@@ -177,6 +194,35 @@ pub trait IncrementalCipherDoc {
         Ok(())
     }
 
+    /// Applies record splices someone else's [`apply`](Self::apply)
+    /// produced — a collaborator's save, recovered from the ciphertext
+    /// delta the server fans out by [`delta_to_patches`] — and returns
+    /// their plaintext effect as ascending, non-overlapping
+    /// [`PlainSplice`]s (a patch that changes no plaintext, such as an
+    /// RPC checksum update, yields none).
+    ///
+    /// Only the inserted records are decoded and decrypted; block offsets
+    /// come from the block index, so the cost is O(change · log n)
+    /// whatever the document length. Integrity-providing schemes verify
+    /// the splice as a full open would (header, chain links at every
+    /// splice edge, checksum and length aggregates). Nothing is mutated
+    /// unless every check passes, so an error leaves the document as it
+    /// was and the caller can resynchronize from the server's copy.
+    ///
+    /// The provided implementation rejects every splice: schemes without
+    /// an incremental check (the whole-document baselines) are always
+    /// resynchronized instead.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Malformed`] for patches that do not fit the document
+    /// or records that do not decode, [`CoreError::IntegrityFailure`]
+    /// when verification fails.
+    fn apply_foreign(&mut self, patches: &[CipherPatch]) -> Result<Vec<PlainSplice>, CoreError> {
+        let _ = patches;
+        Err(CoreError::Malformed { detail: "this scheme cannot verify a record splice".into() })
+    }
+
     /// Serializes the full ciphertext document (the string the server
     /// stores).
     fn serialize(&self) -> String;
@@ -201,6 +247,10 @@ impl<T: IncrementalCipherDoc + ?Sized> IncrementalCipherDoc for Box<T> {
 
     fn replace_all(&mut self, plaintext: &[u8]) -> Result<(), CoreError> {
         (**self).replace_all(plaintext)
+    }
+
+    fn apply_foreign(&mut self, patches: &[CipherPatch]) -> Result<Vec<PlainSplice>, CoreError> {
+        (**self).apply_foreign(patches)
     }
 
     fn serialize(&self) -> String {

@@ -33,7 +33,7 @@ use crate::splice::{plan, SplicePlan};
 use crate::wire::{
     decode_record, encode_record, split_records, CipherPatch, Layout, Preamble,
 };
-use crate::{EditOp, IncrementalCipherDoc};
+use crate::{EditOp, IncrementalCipherDoc, PlainSplice};
 
 /// Domain-separation magic stored in the header block's right half.
 const HEADER_MAGIC: [u8; 8] = *b"PE1.RECB";
@@ -289,19 +289,23 @@ impl<S: BlockSeq<SealedBlock>> RecbDocument<S> {
         );
     }
 
-    /// Opens (decrypts) every block, appending the plaintext to `out`
-    /// (the batch `Dec` path): one contiguous scratch buffer for the AES
-    /// work instead of a `Vec` per block, fanned out for large documents.
-    fn open_all(&self, out: &mut Vec<u8>) {
-        let n = self.blocks.len_blocks();
+    /// Opens (decrypts) a run of `n` blocks, appending their plaintext to
+    /// `out` (the batch `Dec` path): one contiguous scratch buffer for the
+    /// AES work instead of a `Vec` per block, fanned out for long runs.
+    fn open_run<'a>(
+        &self,
+        run: impl Iterator<Item = &'a SealedBlock>,
+        n: usize,
+        out: &mut Vec<u8>,
+    ) {
         let mut bufs: Vec<[u8; 16]> = Vec::with_capacity(n);
         let mut lens: Vec<u8> = Vec::with_capacity(n);
-        for sealed in self.blocks.iter() {
+        for sealed in run {
             bufs.push(sealed.cipher);
             lens.push(sealed.len);
         }
         batch::apply_cipher(&self.cipher, &mut bufs, Direction::Decrypt, batch::auto_workers(n));
-        out.reserve(self.blocks.total_weight());
+        out.reserve(lens.iter().map(|&len| usize::from(len)).sum());
         // dᵢ = right ⊕ rᵢ = right ⊕ (left ⊕ r0), a whole-word XOR.
         let r0w = u64::from_ne_bytes(self.r0);
         for (block, len) in bufs.iter().zip(lens) {
@@ -335,7 +339,7 @@ impl<S: BlockSeq<SealedBlock> + Default> IncrementalCipherDoc for RecbDocument<S
 
     fn decrypt(&self) -> Result<Vec<u8>, CoreError> {
         let mut out = Vec::new();
-        self.open_all(&mut out);
+        self.open_run(self.blocks.iter(), self.blocks.len_blocks(), &mut out);
         Ok(out)
     }
 
@@ -356,6 +360,57 @@ impl<S: BlockSeq<SealedBlock> + Default> IncrementalCipherDoc for RecbDocument<S
             self.blocks.insert(start_block + i, sealed);
         }
         Ok(vec![CipherPatch::splice(1 + start_block, removed, inserted)])
+    }
+
+    /// rECB blocks are independent given `r0`, so any run of well-formed
+    /// data records is a valid splice; the header record (which carries
+    /// `r0`) must not be touched. Blocks a splice removes are never
+    /// opened — their byte lengths are their public tags.
+    fn apply_foreign(&mut self, patches: &[CipherPatch]) -> Result<Vec<PlainSplice>, CoreError> {
+        let malformed = |detail: String| CoreError::Malformed { detail };
+        // Check and decrypt everything before the first mutation.
+        let mut planned = Vec::with_capacity(patches.len());
+        let mut splices = Vec::with_capacity(patches.len());
+        let mut cursor = 1; // record 0 is the header
+        for patch in patches {
+            let end = patch.start_record.saturating_add(patch.removed);
+            if patch.start_record < cursor || end > self.record_count() {
+                return Err(malformed(format!(
+                    "splice of records {}..{end} touches the header, overlaps, or runs past {}",
+                    patch.start_record,
+                    self.record_count()
+                )));
+            }
+            cursor = end;
+            let mut sealed = Vec::with_capacity(patch.inserted.len());
+            for record in &patch.inserted {
+                let (tag, cipher) = decode_record(record)?;
+                let len = tag
+                    .to_digit(10)
+                    .filter(|&d| (1..=self.params.max_block as u32).contains(&d))
+                    .ok_or_else(|| malformed(format!("invalid data record tag {tag:?}")))?;
+                sealed.push(SealedBlock { len: len as u8, cipher });
+            }
+            let first = patch.start_record - 1;
+            let at = self.blocks.weight_before(first);
+            let removed = self.blocks.weight_before(first + patch.removed) - at;
+            let mut inserted = Vec::new();
+            self.open_run(sealed.iter(), sealed.len(), &mut inserted);
+            if removed > 0 || !inserted.is_empty() {
+                splices.push(PlainSplice { at, removed, inserted });
+            }
+            planned.push((first, patch.removed, sealed));
+        }
+        // Right to left, so earlier ordinals stay valid.
+        for (first, removed, sealed) in planned.into_iter().rev() {
+            for _ in 0..removed {
+                self.blocks.remove(first);
+            }
+            for (i, block) in sealed.into_iter().enumerate() {
+                self.blocks.insert(first + i, block);
+            }
+        }
+        Ok(splices)
     }
 
     /// Full-document replacement via the batch seal path: one nonce pass,

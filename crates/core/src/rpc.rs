@@ -34,7 +34,7 @@
 use pe_crypto::aes::Aes128;
 use pe_crypto::drbg::NonceSource;
 use pe_crypto::BlockCipher;
-use pe_indexlist::{BlockSeq, IndexedSkipList};
+use pe_indexlist::{BlockSeq, IndexedSkipList, Weighted};
 
 use crate::batch::{self, Direction};
 use crate::error::CoreError;
@@ -44,7 +44,7 @@ use crate::splice::{plan, SplicePlan};
 use crate::wire::{
     decode_record, encode_record, split_records, CipherPatch, Layout, Preamble,
 };
-use crate::{EditOp, IncrementalCipherDoc};
+use crate::{EditOp, IncrementalCipherDoc, PlainSplice};
 
 /// Header magic (the paper's α marker).
 const HEADER_MAGIC: [u8; 8] = *b"PE1.RPC_";
@@ -61,6 +61,39 @@ struct OpenBlock {
     /// The 8 middle bytes (count byte ‖ padded payload) as one integer —
     /// the per-block contribution to the checksum aggregate.
     mid: u64,
+}
+
+/// A data block as the document keeps it: the sealed record plus its
+/// chain-in nonce and checksum contribution, recorded when the block was
+/// sealed or verified. Removing a block, or finding the chain value at
+/// a splice edge, then never needs a decryption.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct ChainedBlock {
+    sealed: SealedBlock,
+    r_in: u32,
+    mid: u64,
+}
+
+impl Weighted for ChainedBlock {
+    fn weight(&self) -> usize {
+        self.sealed.weight()
+    }
+}
+
+/// What a full verification recovers besides the plaintext.
+struct Verified {
+    r0: u32,
+    xor_r: u32,
+    xor_mid: u64,
+    plaintext: Vec<u8>,
+    /// `(r_in, mid)` of every data block, in order.
+    links: Vec<(u32, u64)>,
+}
+
+/// Counts and reports an integrity failure.
+fn integrity(detail: String) -> CoreError {
+    pe_observe::static_counter!("core.integrity_failures.rpc").inc();
+    CoreError::IntegrityFailure { detail }
 }
 
 /// A confidentiality-and-integrity encrypted document using RPC mode.
@@ -89,7 +122,7 @@ pub struct RpcDocument {
     r0: u32,
     header_cipher: [u8; 16],
     checksum_cipher: [u8; 16],
-    blocks: IndexedSkipList<SealedBlock>,
+    blocks: IndexedSkipList<ChainedBlock>,
     /// XOR of the chain-in nonces of all data blocks.
     xor_r: u32,
     /// XOR of the middle 8 bytes of all data blocks.
@@ -204,38 +237,35 @@ impl RpcDocument {
         if ctag != '9' {
             return Err(CoreError::Malformed { detail: "last record is not a checksum".into() });
         }
-        let mut parsed = Vec::with_capacity(records.len() - 2);
-        for record in &records[1..records.len() - 1] {
-            let (tag, block_cipher) = decode_record(record)?;
-            let len = tag
-                .to_digit(10)
-                .filter(|d| (1..=RPC_MAX_BLOCK as u32).contains(d))
-                .ok_or_else(|| CoreError::Malformed {
-                    detail: format!("invalid data record tag {tag:?}"),
-                })? as u8;
-            parsed.push(SealedBlock { len, cipher: block_cipher });
-        }
+        let parsed = records[1..records.len() - 1]
+            .iter()
+            .map(|record| decode_data_record(record))
+            .collect::<Result<Vec<SealedBlock>, CoreError>>()?;
+        // Full verification also recovers r0, the aggregates, and every
+        // block's chain values.
+        let verified =
+            Self::verify(&cipher, &header_cipher, &checksum_cipher, parsed.iter(), parsed.len())?;
         let mut blocks = IndexedSkipList::new();
-        blocks.extend_back(parsed);
-        let mut doc = RpcDocument {
+        blocks.extend_back(
+            parsed
+                .into_iter()
+                .zip(verified.links)
+                .map(|(sealed, (r_in, mid))| ChainedBlock { sealed, r_in, mid })
+                .collect(),
+        );
+        Ok(RpcDocument {
             cipher,
             salt: preamble.salt,
             params: SchemeParams::rpc(preamble.max_block),
-            r0: 0, // set by verify below
+            r0: verified.r0,
             header_cipher,
             checksum_cipher,
             blocks,
-            xor_r: 0,
-            xor_mid: 0,
+            xor_r: verified.xor_r,
+            xor_mid: verified.xor_mid,
             rng: Box::new(rng),
             scratch: SealScratch::default(),
-        };
-        // Full verification also recovers r0 and the aggregates.
-        let (r0, xor_r, xor_mid, _plaintext) = doc.verify()?;
-        doc.r0 = r0;
-        doc.xor_r = xor_r;
-        doc.xor_mid = xor_mid;
-        Ok(doc)
+        })
     }
 
     /// The scheme parameters this document was created with.
@@ -249,7 +279,7 @@ impl RpcDocument {
     }
 
     /// Seals one data block.
-    fn seal(&mut self, r_in: u32, data: &[u8], r_out: u32) -> SealedBlock {
+    fn seal(&mut self, r_in: u32, data: &[u8], r_out: u32) -> ChainedBlock {
         debug_assert!((1..=self.params.max_block).contains(&data.len()));
         let mut block = [0u8; 16];
         block[..4].copy_from_slice(&r_in.to_be_bytes());
@@ -261,7 +291,7 @@ impl RpcDocument {
         self.xor_r ^= r_in;
         self.xor_mid ^= mid;
         pe_observe::static_counter!("core.blocks_sealed.rpc").inc();
-        SealedBlock { len: data.len() as u8, cipher: block }
+        ChainedBlock { sealed: SealedBlock { len: data.len() as u8, cipher: block }, r_in, mid }
     }
 
     /// Seals a whole run of text as one batch: packs every chunk with its
@@ -278,7 +308,7 @@ impl RpcDocument {
         r_in_first: u32,
         r_out_last: u32,
         workers: usize,
-        out: &mut Vec<SealedBlock>,
+        out: &mut Vec<ChainedBlock>,
     ) {
         let n = chunk_count(text.len(), self.params.max_block);
         // One bulk draw for the n-1 intermediate chain nonces: a
@@ -288,6 +318,8 @@ impl RpcDocument {
         // [`SealScratch`], so repeated saves do not allocate.
         self.scratch.reset(n, n.saturating_sub(1) * 4);
         self.rng.fill_bytes(&mut self.scratch.nonces);
+        out.reserve(n);
+        let first = out.len();
         let mut r_in = r_in_first;
         for (i, piece) in chunks(text, self.params.max_block).enumerate() {
             let r_out = if i + 1 == n {
@@ -306,29 +338,25 @@ impl RpcDocument {
             self.xor_r ^= r_in;
             self.xor_mid ^= mid;
             self.scratch.bufs.push(block);
-            self.scratch.lens.push(piece.len() as u8);
+            let sealed = SealedBlock { len: piece.len() as u8, cipher: [0u8; 16] };
+            out.push(ChainedBlock { sealed, r_in, mid });
             r_in = r_out;
         }
         batch::apply_cipher(&self.cipher, &mut self.scratch.bufs, Direction::Encrypt, workers);
         pe_observe::static_counter!("core.blocks_sealed.rpc").add(n as u64);
-        out.reserve(n);
-        out.extend(
-            self.scratch
-                .bufs
-                .iter()
-                .zip(&self.scratch.lens)
-                .map(|(cipher, &len)| SealedBlock { len, cipher: *cipher }),
-        );
+        for (block, cipher) in out[first..].iter_mut().zip(&self.scratch.bufs) {
+            block.sealed.cipher = *cipher;
+        }
     }
 
     /// Opens the data block at `ordinal` without verifying its position
     /// in the chain (chain checks happen in [`Self::verify`]).
     ///
     /// Infallible because every in-memory block was either sealed by this
-    /// document or already passed [`Self::verify`] during `open`.
+    /// document or already passed verification.
     fn open_block(&self, ordinal: usize) -> OpenBlock {
-        let sealed = self.blocks.get(ordinal).expect("ordinal in range");
-        Self::open_cipher(&self.cipher, &sealed.cipher)
+        let block = self.blocks.get(ordinal).expect("ordinal in range");
+        Self::open_cipher(&self.cipher, &block.sealed.cipher)
             .expect("in-memory block passed verification")
     }
 
@@ -344,20 +372,25 @@ impl RpcDocument {
         // clamped into range.
         let len = block[4] as usize;
         if !(1..=RPC_MAX_BLOCK).contains(&len) {
-            pe_observe::static_counter!("core.integrity_failures.rpc").inc();
-            return Err(CoreError::IntegrityFailure {
-                detail: format!("sealed block count byte {len} outside 1..={RPC_MAX_BLOCK}"),
-            });
+            return Err(integrity(format!(
+                "sealed block count byte {len} outside 1..={RPC_MAX_BLOCK}"
+            )));
         }
         let data = block[5..5 + len].to_vec();
         pe_observe::static_counter!("core.blocks_opened.rpc").inc();
         Ok(OpenBlock { r_in, data, r_out, mid })
     }
 
+    /// The chain nonce entering data block `ordinal`; one past the last
+    /// block, the document nonce `r0` the chain closes back to.
+    fn chain_in(&self, ordinal: usize) -> u32 {
+        self.blocks.get(ordinal).map_or(self.r0, |block| block.r_in)
+    }
+
     /// Removes a block's contribution from the running aggregates.
-    fn retire(&mut self, opened: &OpenBlock) {
-        self.xor_r ^= opened.r_in;
-        self.xor_mid ^= opened.mid;
+    fn retire(&mut self, block: &ChainedBlock) {
+        self.xor_r ^= block.r_in;
+        self.xor_mid ^= block.mid;
     }
 
     fn reseal_header(&mut self, r_first: u32) {
@@ -378,36 +411,74 @@ impl RpcDocument {
         self.checksum_cipher = block;
     }
 
-    /// Verifies the header magic, the full nonce chain, the per-block
-    /// length counters, and the checksum block (including the length
-    /// amendment). Returns `(r0, xor_r, xor_mid, plaintext)`.
-    fn verify(&self) -> Result<(u32, u32, u64, Vec<u8>), CoreError> {
-        let fail = |detail: String| {
-            pe_observe::static_counter!("core.integrity_failures.rpc").inc();
-            Err(CoreError::IntegrityFailure { detail })
-        };
-        let mut header = self.header_cipher;
-        self.cipher.decrypt_block(&mut header);
+    /// Opens a header block: `(r0, chain nonce of the first data block)`.
+    fn open_header(cipher: &Aes128, sealed: &[u8; 16]) -> Result<(u32, u32), CoreError> {
+        let mut header = *sealed;
+        cipher.decrypt_block(&mut header);
         if header[4..12] != HEADER_MAGIC {
-            return fail("wrong password or corrupted header".into());
+            return Err(integrity("wrong password or corrupted header".into()));
         }
         let r0 = u32::from_be_bytes(header[..4].try_into().expect("4 bytes"));
-        let mut expected = u32::from_be_bytes(header[12..].try_into().expect("4 bytes"));
+        let r_first = u32::from_be_bytes(header[12..].try_into().expect("4 bytes"));
+        Ok((r0, r_first))
+    }
+
+    /// Checks a checksum block against the aggregates it must seal: the
+    /// nonce XOR (folded with `r0`), the payload XOR, and the document
+    /// length (the Wang–Kao–Yeh amendment).
+    fn check_checksum(
+        cipher: &Aes128,
+        sealed: &[u8; 16],
+        r0: u32,
+        xor_r: u32,
+        xor_mid: u64,
+        len: usize,
+    ) -> Result<(), CoreError> {
+        let mut checksum = *sealed;
+        cipher.decrypt_block(&mut checksum);
+        let want_r = u32::from_be_bytes(checksum[..4].try_into().expect("4 bytes"));
+        let want_mid = u64::from_be_bytes(checksum[4..12].try_into().expect("8 bytes"));
+        let want_len = u32::from_be_bytes(checksum[12..].try_into().expect("4 bytes"));
+        if want_r != r0 ^ xor_r {
+            return Err(integrity("checksum nonce aggregate mismatch".into()));
+        }
+        if want_mid != xor_mid {
+            return Err(integrity("checksum payload aggregate mismatch".into()));
+        }
+        if want_len as usize != len {
+            return Err(integrity(format!(
+                "document length mismatch: checksum says {want_len}, blocks hold {len}"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Verifies the header magic, the full nonce chain, the per-block
+    /// length counters, and the checksum block (including the length
+    /// amendment) of a header, a run of `n` data blocks, and checksum.
+    fn verify<'a>(
+        cipher: &Aes128,
+        header_cipher: &[u8; 16],
+        checksum_cipher: &[u8; 16],
+        blocks: impl Iterator<Item = &'a SealedBlock>,
+        n: usize,
+    ) -> Result<Verified, CoreError> {
+        let (r0, mut expected) = Self::open_header(cipher, header_cipher)?;
         // Batch-decrypt every data block in one pass, then walk the
         // decrypted buffers in order checking the chain. The chain checks
         // are pure reads, so decryption order does not matter and the
         // batch (possibly parallel) pass is safe.
-        let n = self.blocks.len_blocks();
         let mut bufs: Vec<[u8; 16]> = Vec::with_capacity(n);
         let mut tags: Vec<u8> = Vec::with_capacity(n);
-        for sealed in self.blocks.iter() {
+        for sealed in blocks {
             bufs.push(sealed.cipher);
             tags.push(sealed.len);
         }
-        batch::apply_cipher(&self.cipher, &mut bufs, Direction::Decrypt, batch::auto_workers(n));
+        batch::apply_cipher(cipher, &mut bufs, Direction::Decrypt, batch::auto_workers(n));
         let mut xor_r = 0u32;
         let mut xor_mid = 0u64;
-        let mut plaintext = Vec::with_capacity(self.blocks.total_weight());
+        let mut links = Vec::with_capacity(n);
+        let mut plaintext = Vec::with_capacity(tags.iter().map(|&tag| usize::from(tag)).sum());
         for (i, block) in bufs.iter().enumerate() {
             let r_in = u32::from_be_bytes(block[..4].try_into().expect("4 bytes"));
             let r_out = u32::from_be_bytes(block[12..].try_into().expect("4 bytes"));
@@ -417,45 +488,79 @@ impl RpcDocument {
             // a wrong key) and must surface as an integrity failure.
             let len = block[4] as usize;
             if !(1..=RPC_MAX_BLOCK).contains(&len) {
-                return fail(format!("block {i} sealed count byte out of range"));
+                return Err(integrity(format!("block {i} sealed count byte out of range")));
             }
             if r_in != expected {
-                return fail(format!("nonce chain broken entering block {i}"));
+                return Err(integrity(format!("nonce chain broken entering block {i}")));
             }
             if len != tags[i] as usize {
-                return fail(format!(
+                return Err(integrity(format!(
                     "block {i} length counter mismatch: tag {} vs sealed {len}",
                     tags[i],
-                ));
+                )));
             }
             xor_r ^= r_in;
             xor_mid ^= mid;
+            links.push((r_in, mid));
             plaintext.extend_from_slice(&block[5..5 + len]);
             expected = r_out;
         }
         pe_observe::static_counter!("core.blocks_opened.rpc").add(n as u64);
         if expected != r0 {
-            return fail("nonce chain does not close back to the header".into());
+            return Err(integrity("nonce chain does not close back to the header".into()));
         }
-        let mut checksum = self.checksum_cipher;
-        self.cipher.decrypt_block(&mut checksum);
-        let want_r = u32::from_be_bytes(checksum[..4].try_into().expect("4 bytes"));
-        let want_mid = u64::from_be_bytes(checksum[4..12].try_into().expect("8 bytes"));
-        let want_len = u32::from_be_bytes(checksum[12..].try_into().expect("4 bytes"));
-        if want_r != r0 ^ xor_r {
-            return fail("checksum nonce aggregate mismatch".into());
-        }
-        if want_mid != xor_mid {
-            return fail("checksum payload aggregate mismatch".into());
-        }
-        if want_len as usize != plaintext.len() {
-            return fail(format!(
-                "document length mismatch: checksum says {want_len}, blocks hold {}",
-                plaintext.len()
-            ));
-        }
-        Ok((r0, xor_r, xor_mid, plaintext))
+        Self::check_checksum(cipher, checksum_cipher, r0, xor_r, xor_mid, plaintext.len())?;
+        Ok(Verified { r0, xor_r, xor_mid, plaintext, links })
     }
+}
+
+/// Decodes one data record into its sealed block (public tag checked
+/// against the RPC block limit; the sealed count is checked on open).
+fn decode_data_record(record: &str) -> Result<SealedBlock, CoreError> {
+    let (tag, cipher) = decode_record(record)?;
+    let len = tag
+        .to_digit(10)
+        .filter(|d| (1..=RPC_MAX_BLOCK as u32).contains(d))
+        .ok_or_else(|| CoreError::Malformed {
+            detail: format!("invalid data record tag {tag:?}"),
+        })?;
+    Ok(SealedBlock { len: len as u8, cipher })
+}
+
+/// One contiguous run of replaced records in a foreign splice, in the
+/// old document's record indices.
+struct Region<'a> {
+    start: usize,
+    end: usize,
+    inserted: Vec<&'a str>,
+}
+
+/// Merges sorted, non-overlapping patches into maximal contiguous
+/// regions of a `records`-record document.
+fn regions(patches: &[CipherPatch], records: usize) -> Result<Vec<Region<'_>>, CoreError> {
+    let mut out: Vec<Region<'_>> = Vec::with_capacity(patches.len());
+    let mut cursor = 0;
+    for patch in patches {
+        let end = patch.start_record.saturating_add(patch.removed);
+        if patch.start_record < cursor || end > records {
+            return Err(CoreError::Malformed {
+                detail: format!(
+                    "splice of records {}..{end} overlaps or runs past {records}",
+                    patch.start_record
+                ),
+            });
+        }
+        cursor = end;
+        let inserted = patch.inserted.iter().map(String::as_str);
+        match out.last_mut() {
+            Some(last) if last.end == patch.start_record => {
+                last.end = end;
+                last.inserted.extend(inserted);
+            }
+            _ => out.push(Region { start: patch.start_record, end, inserted: inserted.collect() }),
+        }
+    }
+    Ok(out)
 }
 
 impl IncrementalCipherDoc for RpcDocument {
@@ -464,8 +569,10 @@ impl IncrementalCipherDoc for RpcDocument {
     }
 
     fn decrypt(&self) -> Result<Vec<u8>, CoreError> {
-        let (_, _, _, plaintext) = self.verify()?;
-        Ok(plaintext)
+        let blocks = self.blocks.iter().map(|block| &block.sealed);
+        let n = self.blocks.len_blocks();
+        Self::verify(&self.cipher, &self.header_cipher, &self.checksum_cipher, blocks, n)
+            .map(|verified| verified.plaintext)
     }
 
     fn apply(&mut self, op: &EditOp) -> Result<Vec<CipherPatch>, CoreError> {
@@ -476,22 +583,15 @@ impl IncrementalCipherDoc for RpcDocument {
         };
         // Chain nonces at the boundaries of the affected region.
         let (chain_in, chain_out) = if removed > 0 {
-            let first = self.open_block(start_block);
-            let last = if removed == 1 {
-                first.clone()
-            } else {
-                self.open_block(start_block + removed - 1)
-            };
-            (first.r_in, last.r_out)
+            (self.chain_in(start_block), self.chain_in(start_block + removed))
         } else {
             // Only possible when inserting into an empty document.
             (self.rng.next_u32(), self.r0)
         };
         // Retire the removed blocks from the aggregates and the list.
         for _ in 0..removed {
-            let opened = self.open_block(start_block);
-            self.retire(&opened);
-            self.blocks.remove(start_block);
+            let gone = self.blocks.remove(start_block);
+            self.retire(&gone);
         }
         let n = chunk_count(content.len(), self.params.max_block);
         let mut data_patch;
@@ -508,10 +608,10 @@ impl IncrementalCipherDoc for RpcDocument {
             } else {
                 let pred = start_block - 1;
                 let opened = self.open_block(pred);
-                self.retire(&opened);
                 let resealed = self.seal(opened.r_in, &opened.data, chain_out);
-                let record = encode_record(resealed.tag(), &resealed.cipher);
-                self.blocks.replace(pred, resealed);
+                let record = encode_record(resealed.sealed.tag(), &resealed.sealed.cipher);
+                let old = self.blocks.replace(pred, resealed);
+                self.retire(&old);
                 data_patch = CipherPatch::splice(1 + pred, 1 + removed, vec![record]);
             }
         } else {
@@ -519,9 +619,9 @@ impl IncrementalCipherDoc for RpcDocument {
             let mut sealed_run = Vec::new();
             self.seal_all(&content, chain_in, chain_out, workers, &mut sealed_run);
             let mut inserted = Vec::with_capacity(n);
-            for (i, sealed) in sealed_run.into_iter().enumerate() {
-                inserted.push(encode_record(sealed.tag(), &sealed.cipher));
-                self.blocks.insert(start_block + i, sealed);
+            for (i, block) in sealed_run.into_iter().enumerate() {
+                inserted.push(encode_record(block.sealed.tag(), &block.sealed.cipher));
+                self.blocks.insert(start_block + i, block);
             }
             data_patch = CipherPatch::splice(1 + start_block, removed, inserted);
             if removed == 0 {
@@ -541,6 +641,114 @@ impl IncrementalCipherDoc for RpcDocument {
             vec![encode_record('9', &self.checksum_cipher)],
         );
         Ok(vec![data_patch, checksum_patch])
+    }
+
+    /// Verifies the spliced document exactly as [`RpcDocument::open`]
+    /// would, but only around the splices: a replaced header must carry
+    /// the magic and the unchanged `r0`; at every splice edge the chain
+    /// must run from the unchanged predecessor through the inserted
+    /// blocks into the unchanged successor (their chain values are
+    /// cached, so no old block is opened); the aggregates are updated
+    /// from the cached values of the removed blocks and the opened
+    /// inserted ones, and must match the (new or unchanged) checksum.
+    fn apply_foreign(&mut self, patches: &[CipherPatch]) -> Result<Vec<PlainSplice>, CoreError> {
+        let malformed = |detail: &str| CoreError::Malformed { detail: detail.into() };
+        let records = self.record_count();
+        let checksum_record = records - 1;
+        let mut header = None;
+        let mut checksum = None;
+        let (mut xor_r, mut xor_mid, mut len) =
+            (self.xor_r, self.xor_mid, self.blocks.total_weight());
+        let mut planned = Vec::new();
+        let mut splices = Vec::new();
+        for region in regions(patches, records)? {
+            let mut inserted = region.inserted.as_slice();
+            // The chain value entering the region's first data block.
+            let mut expected = self.chain_in(region.start.saturating_sub(1));
+            if region.start == 0 && (region.end > 0 || !inserted.is_empty()) {
+                let Some((first, rest)) = inserted.split_first().filter(|_| region.end > 0) else {
+                    return Err(malformed("splice removes or displaces the header"));
+                };
+                let (tag, sealed) = decode_record(first)?;
+                if tag != '0' {
+                    return Err(malformed("first record is not a header"));
+                }
+                let (r0, r_first) = Self::open_header(&self.cipher, &sealed)?;
+                if r0 != self.r0 {
+                    return Err(integrity("replacement header changes r0".into()));
+                }
+                header = Some(sealed);
+                expected = r_first;
+                inserted = rest;
+            }
+            // The chain value the region's last data block must hand on.
+            let mut chain_out = self.chain_in(region.end.saturating_sub(1));
+            if region.end == records && (region.start < records || !inserted.is_empty()) {
+                let Some((last, rest)) =
+                    inserted.split_last().filter(|_| region.start < records)
+                else {
+                    return Err(malformed("splice removes or displaces the checksum"));
+                };
+                let (tag, sealed) = decode_record(last)?;
+                if tag != '9' {
+                    return Err(malformed("last record is not a checksum"));
+                }
+                checksum = Some(sealed);
+                chain_out = self.r0;
+                inserted = rest;
+            }
+            let mut blocks = Vec::with_capacity(inserted.len());
+            let mut plain = Vec::new();
+            for record in inserted {
+                let sealed = decode_data_record(record)?;
+                let opened = Self::open_cipher(&self.cipher, &sealed.cipher)?;
+                if opened.r_in != expected {
+                    return Err(integrity("nonce chain broken at a splice edge".into()));
+                }
+                if opened.data.len() != sealed.len as usize {
+                    return Err(integrity("spliced block length counter mismatch".into()));
+                }
+                expected = opened.r_out;
+                xor_r ^= opened.r_in;
+                xor_mid ^= opened.mid;
+                plain.extend_from_slice(&opened.data);
+                blocks.push(ChainedBlock { sealed, r_in: opened.r_in, mid: opened.mid });
+            }
+            if expected != chain_out {
+                return Err(integrity("nonce chain broken at a splice edge".into()));
+            }
+            // Data records are 1..checksum_record; ordinals are one less.
+            let first = region.start.max(1) - 1;
+            let removed = region.end.min(checksum_record).saturating_sub(first + 1);
+            for gone in self.blocks.iter_from(first).take(removed) {
+                xor_r ^= gone.r_in;
+                xor_mid ^= gone.mid;
+            }
+            let at = self.blocks.weight_before(first);
+            let removed_bytes = self.blocks.weight_before(first + removed) - at;
+            len = len - removed_bytes + plain.len();
+            if removed_bytes > 0 || !plain.is_empty() {
+                splices.push(PlainSplice { at, removed: removed_bytes, inserted: plain });
+            }
+            planned.push((first, removed, blocks));
+        }
+        let sealed_checksum = checksum.unwrap_or(self.checksum_cipher);
+        Self::check_checksum(&self.cipher, &sealed_checksum, self.r0, xor_r, xor_mid, len)?;
+        // Every check passed: commit, right to left so earlier ordinals
+        // stay valid.
+        for (first, removed, blocks) in planned.into_iter().rev() {
+            for _ in 0..removed {
+                self.blocks.remove(first);
+            }
+            for (i, block) in blocks.into_iter().enumerate() {
+                self.blocks.insert(first + i, block);
+            }
+        }
+        self.header_cipher = header.unwrap_or(self.header_cipher);
+        self.checksum_cipher = sealed_checksum;
+        self.xor_r = xor_r;
+        self.xor_mid = xor_mid;
+        Ok(splices)
     }
 
     fn replace_all(&mut self, plaintext: &[u8]) -> Result<(), CoreError> {
@@ -563,7 +771,7 @@ impl IncrementalCipherDoc for RpcDocument {
         let mut out = Preamble::new(&self.params, self.salt).encode();
         out.push_str(&encode_record('0', &self.header_cipher));
         for block in self.blocks.iter() {
-            out.push_str(&encode_record(block.tag(), &block.cipher));
+            out.push_str(&encode_record(block.sealed.tag(), &block.sealed.cipher));
         }
         out.push_str(&encode_record('9', &self.checksum_cipher));
         out

@@ -19,8 +19,7 @@ use pe_delta::{Delta, DeltaOp};
 
 use crate::error::CoreError;
 use crate::wire::{self, CipherPatch, Layout};
-use crate::IncrementalCipherDoc;
-use crate::EditOp;
+use crate::{EditOp, IncrementalCipherDoc, PlainSplice};
 
 /// Converts record-level patches into a character-level delta over the
 /// serialized ciphertext.
@@ -38,6 +37,83 @@ pub fn patches_to_delta(patches: &[CipherPatch], layout: Layout) -> Delta {
         cursor_chars = start + patch.removed * layout.record_chars;
     }
     builder.build()
+}
+
+/// Recovers the record splices a ciphertext delta performs on a
+/// serialized document of `serialized_len` characters — the inverse of
+/// [`patches_to_delta`], used to follow a collaborator's incremental
+/// save without re-reading the whole document.
+///
+/// Every delete and insert must sit on a record boundary past the
+/// preamble and cover whole records; adjacent edits merge into one
+/// patch. Retains may run anywhere inside the document (only the edits
+/// they lead to are checked).
+///
+/// # Errors
+///
+/// Returns [`CoreError::Malformed`] for an edit inside the preamble or
+/// off a record boundary, a partial record, non-ASCII record text, or a
+/// delta that reaches past the end of the document.
+pub fn delta_to_patches(
+    delta: &Delta,
+    layout: Layout,
+    serialized_len: usize,
+) -> Result<Vec<CipherPatch>, CoreError> {
+    let malformed = |detail: String| CoreError::Malformed { detail };
+    let mut patches: Vec<CipherPatch> = Vec::new();
+    let mut cursor = 0usize; // character offset into the old serialization
+    for op in delta.ops() {
+        let n = match op {
+            DeltaOp::Retain(n) => {
+                cursor = cursor.saturating_add(*n);
+                continue;
+            }
+            DeltaOp::Delete(n) => *n,
+            DeltaOp::Insert(text) => text.len(),
+        };
+        let offset = cursor
+            .checked_sub(layout.preamble_chars)
+            .filter(|o| o % layout.record_chars == 0)
+            .ok_or_else(|| {
+                malformed(format!("edit at character {cursor} is off a record boundary"))
+            })?;
+        if n % layout.record_chars != 0 {
+            return Err(malformed(format!("edit of {n} characters splits a record")));
+        }
+        let record = offset / layout.record_chars;
+        let patch = match patches.last_mut() {
+            Some(last) if last.start_record.saturating_add(last.removed) == record => last,
+            _ => {
+                patches.push(CipherPatch::splice(record, 0, Vec::new()));
+                patches.last_mut().expect("just pushed")
+            }
+        };
+        match op {
+            DeltaOp::Delete(_) => {
+                // Saturating: counts come from the server, and the end
+                // check below rejects any delta that runs past the end.
+                patch.removed = patch.removed.saturating_add(n / layout.record_chars);
+                cursor = cursor.saturating_add(n);
+            }
+            DeltaOp::Insert(text) => {
+                if !text.is_ascii() {
+                    return Err(malformed("inserted records are not ASCII".into()));
+                }
+                // ASCII, so every record width is a character boundary.
+                let width = layout.record_chars;
+                patch
+                    .inserted
+                    .extend((0..text.len()).step_by(width).map(|i| text[i..i + width].to_string()));
+            }
+            DeltaOp::Retain(_) => unreachable!("retains continue above"),
+        }
+    }
+    if cursor > serialized_len {
+        return Err(malformed(format!(
+            "delta reaches character {cursor} of a {serialized_len}-character document"
+        )));
+    }
+    Ok(patches)
 }
 
 /// The wire size (in characters) of the ciphertext delta a patch set
@@ -130,6 +206,36 @@ impl<D: IncrementalCipherDoc> DeltaTransformer<D> {
         }
         debug_assert_eq!(self.ciphertext, self.doc.serialize());
         Ok(combined)
+    }
+
+    /// Absorbs a collaborator's ciphertext delta — what the server fans
+    /// out for someone else's incremental save — and returns its
+    /// plaintext effect.
+    ///
+    /// Recovers the record splices with [`delta_to_patches`], hands them
+    /// to [`IncrementalCipherDoc::apply_foreign`] (which decrypts only
+    /// the inserted records and verifies them), and advances the mirror.
+    /// Inserted records are stored in the canonical upper case
+    /// [`IncrementalCipherDoc::serialize`] writes (Base32 decodes either
+    /// case), so the mirror keeps equalling the document's own
+    /// serialization.
+    ///
+    /// # Errors
+    ///
+    /// As for [`delta_to_patches`] and
+    /// [`IncrementalCipherDoc::apply_foreign`]; on error neither the
+    /// document nor the mirror has changed.
+    pub fn apply_foreign(&mut self, cdelta: &Delta) -> Result<Vec<PlainSplice>, CoreError> {
+        let layout = self.doc.layout();
+        let mut patches = delta_to_patches(cdelta, layout, self.ciphertext.len())?;
+        for record in patches.iter_mut().flat_map(|p| p.inserted.iter_mut()) {
+            record.make_ascii_uppercase();
+        }
+        let mirror = wire::apply_patches(&self.ciphertext, layout, &patches)?;
+        let splices = self.doc.apply_foreign(&patches)?;
+        self.ciphertext = mirror;
+        debug_assert_eq!(self.ciphertext, self.doc.serialize());
+        Ok(splices)
     }
 
     /// Encrypts a full replacement of the document contents (the
@@ -249,6 +355,88 @@ mod tests {
         let mut t = recb(b"unchanged", 8, 7);
         let cdelta = t.transform(&Delta::parse("=5").unwrap()).unwrap();
         assert!(cdelta.is_identity());
+    }
+
+    /// `old` with `splices` (ascending, old offsets) applied.
+    fn spliced(old: &[u8], splices: &[PlainSplice]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut cursor = 0;
+        for s in splices {
+            out.extend_from_slice(&old[cursor..s.at]);
+            out.extend_from_slice(&s.inserted);
+            cursor = s.at + s.removed;
+        }
+        out.extend_from_slice(&old[cursor..]);
+        out
+    }
+
+    #[test]
+    fn followers_absorb_a_writers_deltas() {
+        let script = ["=4\t+slow and ", "-3\t+A", "=10\t-5", "+>>\t=3\t-1\t=6\t+!", "-30"];
+        for rpc_mode in [false, true] {
+            let (mut writer, mut follower) = if rpc_mode {
+                let w = rpc(b"The quick brown fox jumps over", 5, 20);
+                let f = RpcDocument::open(&key(), w.ciphertext(), CtrDrbg::from_seed(21)).unwrap();
+                (DeltaTransformer::new(Box::new(w.into_doc()) as Box<dyn IncrementalCipherDoc>),
+                 DeltaTransformer::new(Box::new(f) as Box<dyn IncrementalCipherDoc>))
+            } else {
+                let w = recb(b"The quick brown fox jumps over", 5, 20);
+                let f = RecbDocument::open(&key(), w.ciphertext(), CtrDrbg::from_seed(21)).unwrap();
+                (DeltaTransformer::new(Box::new(w.into_doc()) as Box<dyn IncrementalCipherDoc>),
+                 DeltaTransformer::new(Box::new(f) as Box<dyn IncrementalCipherDoc>))
+            };
+            for wire_delta in script {
+                let old = follower.doc().decrypt().unwrap();
+                let cdelta = writer.transform(&Delta::parse(wire_delta).unwrap()).unwrap();
+                let splices = follower.apply_foreign(&cdelta).unwrap();
+                assert_eq!(follower.ciphertext(), writer.ciphertext(), "{wire_delta:?}");
+                let new = writer.doc().decrypt().unwrap();
+                assert_eq!(spliced(&old, &splices), new, "rpc={rpc_mode} {wire_delta:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_rejected_rpc_splice_changes_nothing() {
+        let mut writer = RpcDocument::create(
+            &key(),
+            SchemeParams::rpc(7),
+            b"integrity first, then speed",
+            CtrDrbg::from_seed(30),
+        )
+        .unwrap();
+        let wire = writer.serialize();
+        let mut follower = RpcDocument::open(&key(), &wire, CtrDrbg::from_seed(31)).unwrap();
+        let patches = writer.apply(&EditOp::insert(9, b", always")).unwrap();
+        // Without its checksum patch the splice leaves a stale checksum.
+        assert!(matches!(
+            follower.apply_foreign(&patches[..1]),
+            Err(CoreError::IntegrityFailure { .. })
+        ));
+        assert_eq!(follower.serialize(), wire);
+        assert_eq!(follower.decrypt().unwrap(), b"integrity first, then speed");
+        // The whole splice still applies afterwards.
+        follower.apply_foreign(&patches).unwrap();
+        assert_eq!(follower.serialize(), writer.serialize());
+    }
+
+    #[test]
+    fn misaligned_deltas_are_not_record_splices() {
+        let layout = Layout::standard();
+        let len = layout.record_offset(3);
+        // Inside the preamble, off a record boundary, partial records,
+        // and past the end.
+        let huge = format!("=36\t-{}", usize::MAX / 27 * 27);
+        for bad in ["=5\t-1", "=41\t+x", "=36\t-26", "=36\t+abc", "=500", huge.as_str()] {
+            let delta = Delta::parse(bad).unwrap();
+            assert!(delta_to_patches(&delta, layout, len).is_err(), "{bad}");
+        }
+        let record = "X".repeat(layout.record_chars);
+        let at = layout.record_offset(1);
+        let ok = Delta::parse(&format!("={at}\t-{}\t+{record}", layout.record_chars)).unwrap();
+        let patches = delta_to_patches(&ok, layout, len).unwrap();
+        assert_eq!(patches, vec![CipherPatch::splice(1, 1, vec![record])]);
+        assert_eq!(patches_to_delta(&patches, layout), ok);
     }
 
     #[test]

@@ -47,7 +47,7 @@ mod invert;
 mod ops;
 mod transform;
 
-pub use diff::diff;
+pub use diff::{changed_window, diff, diff_around};
 pub use error::DeltaError;
 pub use ops::{Delta, DeltaBuilder, DeltaOp};
 pub use transform::Side;

@@ -8,7 +8,7 @@
 //!   client could select different sequences to encode additional
 //!   information". Rewriting every outgoing delta into the canonical
 //!   minimal form (the diff of the two document versions) destroys such
-//!   encodings; see [`pe_delta::Delta::canonicalize`].
+//!   encodings; see [`canonical_delta`].
 //! * **Random delays** — "we could add random delays … to every outgoing
 //!   update request" to blunt timing channels. [`suggested_delay`]
 //!   produces the delay; callers decide whether to sleep (benchmarks
@@ -21,12 +21,39 @@ use std::time::Duration;
 
 use pe_crypto::base32;
 use pe_crypto::drbg::NonceSource;
+use pe_delta::{changed_window, Delta};
+
+use crate::error::ExtensionError;
 
 /// Maximum random delay added to an outgoing update.
 pub const MAX_DELAY: Duration = Duration::from_millis(300);
 
 /// Maximum padding bytes appended to an update body.
 pub const MAX_PADDING: usize = 64;
+
+/// Rewrites an outgoing delta into its canonical form against `base`:
+/// one `retain, delete, insert` over the window where the two versions
+/// differ, found by the same prefix/suffix routine as
+/// [`pe_delta::diff`]. Counts are **bytes**, like every delta the
+/// mediator encrypts (see [`Delta::apply_bytes`]); the window's ends sit
+/// on character boundaries, so each step of a session stays valid text.
+/// Any two deltas with the same effect canonicalize to the same bytes.
+///
+/// # Errors
+///
+/// Fails when `delta` does not fit `base` or its result is not UTF-8.
+pub fn canonical_delta(delta: &Delta, base: &str) -> Result<Delta, ExtensionError> {
+    let updated = String::from_utf8(delta.apply_bytes(base.as_bytes())?).map_err(|_| {
+        ExtensionError::BadResponse { detail: "delta produced invalid text".into() }
+    })?;
+    let (prefix, suffix) = changed_window(base, &updated, 0, 0);
+    let mut builder = Delta::builder();
+    builder
+        .retain(prefix)
+        .delete(base.len() - prefix - suffix)
+        .insert(&updated[prefix..updated.len() - suffix]);
+    Ok(builder.build())
+}
 
 /// Draws a random delay in `0..=MAX_DELAY` for an outgoing update.
 pub fn suggested_delay<R: NonceSource>(rng: &mut R) -> Duration {

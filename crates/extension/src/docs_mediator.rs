@@ -6,13 +6,14 @@ use std::time::Duration;
 use pe_cloud::{CloudService, Method, Request, Response};
 use pe_core::wire::Preamble;
 use pe_core::{
-    DeltaTransformer, DocumentKey, IncrementalCipherDoc, Mode, RecbDocument, RpcDocument,
+    DeltaTransformer, DocumentKey, IncrementalCipherDoc, Mode, PlainSplice, RecbDocument,
+    RpcDocument,
 };
 use pe_crypto::drbg::NonceSource;
 use pe_crypto::form;
 use pe_crypto::sha256::Sha256;
 use pe_crypto::{hex, CtrDrbg, SystemRandom};
-use pe_delta::{diff, Delta};
+use pe_delta::{diff_around, Delta};
 use pe_tenant::{ServiceRecords, Session, TenantDirectory};
 
 use crate::countermeasures;
@@ -63,6 +64,39 @@ struct DocState {
     /// landed in between — a stale ciphertext delta that still happens to
     /// *apply* would silently destroy the concurrent change.
     version: Option<u64>,
+}
+
+/// Applies plaintext splices (ascending, in byte offsets of `old`) and
+/// returns the new text with exactly the delta `diff(old, new)` would
+/// give, computed over the changed window only.
+///
+/// Blocks are byte chunks, so a splice edge may cut a character: the
+/// window is widened to character boundaries and only it is checked to
+/// be UTF-8 (the text outside it is unchanged, whole characters).
+fn splice_text(old: &str, splices: &[PlainSplice]) -> Result<(String, Delta), ExtensionError> {
+    let (Some(first), Some(last)) = (splices.first(), splices.last()) else {
+        return Ok((old.to_string(), Delta::new()));
+    };
+    let not_text = |detail: &str| ExtensionError::BadResponse { detail: detail.into() };
+    let start = old.floor_char_boundary(first.at);
+    let end = old.ceil_char_boundary(last.at.saturating_add(last.removed));
+    let mut window = Vec::new();
+    let mut cursor = start;
+    for splice in splices {
+        let splice_end = splice.at.saturating_add(splice.removed);
+        if splice.at < cursor || splice_end > old.len() {
+            return Err(not_text("foreign change does not fit the plaintext mirror"));
+        }
+        window.extend_from_slice(&old.as_bytes()[cursor..splice.at]);
+        window.extend_from_slice(&splice.inserted);
+        cursor = splice_end;
+    }
+    window.extend_from_slice(&old.as_bytes()[cursor..end]);
+    let window =
+        String::from_utf8(window).map_err(|_| not_text("foreign change is not text"))?;
+    let new = [&old[..start], window.as_str(), &old[end..]].concat();
+    let delta = diff_around(old, &new, start, old.len() - end);
+    Ok((new, delta))
 }
 
 /// The privacy mediator for the Google-Documents-style service.
@@ -118,6 +152,13 @@ impl<S: CloudService> DocsMediator<S> {
     /// The plaintext the extension currently believes the document holds.
     pub fn plaintext(&self, doc_id: &str) -> Option<&str> {
         self.docs.get(doc_id).map(|d| d.plaintext.as_str())
+    }
+
+    /// The ciphertext the extension believes the server holds for the
+    /// document: its mirror, in the canonical form the encrypted
+    /// document serializes to.
+    pub fn ciphertext(&self, doc_id: &str) -> Option<&str> {
+        self.docs.get(doc_id).map(|d| d.transformer.ciphertext())
     }
 
     /// Access to the wrapped server (tests, benchmarks).
@@ -432,14 +473,16 @@ impl<S: CloudService> DocsMediator<S> {
     /// Translates a `/Doc/changes` answer from the ciphertext stream the
     /// server fans out to the plaintext stream the live session expects.
     ///
-    /// The mediator mirrors the server's ciphertext: each foreign
-    /// ciphertext delta is applied to the cached ciphertext, the result
-    /// is decrypted (MAC-checked), and the *plaintext* delta emitted to
-    /// the client is the diff of the two decryptions — so the client's
-    /// OT rebase works on exactly the change a plaintext server would
-    /// have pushed. Anything that does not line up (no cached state, a
-    /// delta that does not apply, a failed integrity check) degrades to
-    /// a full-content resync rather than guessing.
+    /// The mediator follows the server's ciphertext incrementally: each
+    /// foreign ciphertext delta becomes record splices on the cached
+    /// document, only the inserted records are decrypted (and, in RPC,
+    /// verified around the splice edges), and the *plaintext* delta
+    /// emitted to the client is exactly `diff(old, new)` — computed over
+    /// the changed window — so the client's OT rebase works on the
+    /// change a plaintext server would have pushed. Anything that is not
+    /// a clean, verified record splice (no cached state, a misaligned
+    /// delta, a failed integrity check) drops the cached state and
+    /// degrades to a full-content resync rather than guessing.
     fn handle_changes(&mut self, request: &Request) -> Result<Mediated, ExtensionError> {
         let doc_id = request.query_param("docID").unwrap_or("").to_string();
         let response = self.server.handle(request);
@@ -500,9 +543,11 @@ impl<S: CloudService> DocsMediator<S> {
             match self.translate_change(&doc_id, v) {
                 Ok(entry) => rewritten.push((k.clone(), entry)),
                 Err(_) => {
-                    // Could not track the stream incrementally: degrade
-                    // to an authoritative full-content resync.
+                    // Could not track the stream incrementally: forget
+                    // the mirror (a failed entry may have advanced part
+                    // of it) and degrade to an authoritative resync.
                     pe_observe::static_counter!("mediator.changes_fallbacks").inc();
+                    self.docs.remove(&doc_id);
                     return self.changes_resync_fallback(&doc_id, &pairs);
                 }
             }
@@ -517,6 +562,13 @@ impl<S: CloudService> DocsMediator<S> {
 
     /// Translates one `"{seq}:{kind}:{payload}"` ciphertext stream entry
     /// into its plaintext counterpart, advancing the cached mirror.
+    ///
+    /// A `delta` entry costs O(change): the ciphertext delta is turned
+    /// back into record splices ([`DeltaTransformer::apply_foreign`]),
+    /// the cached document decrypts only the records they insert, and
+    /// the plaintext delta is the prefix/suffix diff of the spliced
+    /// window. A `full` entry (a collaborator's whole-document save)
+    /// rebuilds the mirror from the payload.
     fn translate_change(&mut self, doc_id: &str, entry: &str) -> Result<String, ExtensionError> {
         let mut parts = entry.splitn(3, ':');
         let (seq, kind, payload) = match (parts.next(), parts.next(), parts.next()) {
@@ -542,34 +594,14 @@ impl<S: CloudService> DocsMediator<S> {
             }
             "delta" => {
                 let cdelta = Delta::parse(payload)?;
-                let (old_plain, new_cipher) = {
-                    let state = self.docs.get(doc_id).ok_or_else(|| {
-                        ExtensionError::BadResponse {
-                            detail: "ciphertext delta without cached state".into(),
-                        }
-                    })?;
-                    let updated =
-                        cdelta.apply_bytes(state.transformer.ciphertext().as_bytes())?;
-                    let new_cipher = String::from_utf8(updated).map_err(|_| {
-                        ExtensionError::BadResponse {
-                            detail: "foreign delta produced invalid ciphertext".into(),
-                        }
-                    })?;
-                    (state.plaintext.clone(), new_cipher)
-                };
-                let preamble = Preamble::parse(&new_cipher)?;
-                let key = match self.keyring.derive_existing(doc_id, &preamble.salt) {
-                    Some(key) => key,
-                    None => self.tenant_key(doc_id, preamble.salt)?,
-                };
-                let doc = self.open_doc(&key, &new_cipher, preamble.mode)?;
-                let new_plain = String::from_utf8(doc.decrypt()?).map_err(|_| {
-                    ExtensionError::BadResponse { detail: "document is not text".into() }
+                let state = self.docs.get_mut(doc_id).ok_or_else(|| {
+                    ExtensionError::BadResponse {
+                        detail: "ciphertext delta without cached state".into(),
+                    }
                 })?;
-                let pdelta = diff(&old_plain, &new_plain);
-                let state = self.docs.get_mut(doc_id).expect("state checked above");
-                state.transformer = DeltaTransformer::new(doc);
-                state.plaintext = new_plain;
+                let splices = state.transformer.apply_foreign(&cdelta)?;
+                let (plaintext, pdelta) = splice_text(&state.plaintext, &splices)?;
+                state.plaintext = plaintext;
                 state.synced = true;
                 state.version = seq.parse().ok();
                 Ok(format!("{seq}:delta:{}", pdelta.serialize()))
@@ -745,7 +777,7 @@ impl<S: CloudService> DocsMediator<S> {
         let state = self.docs.get_mut(doc_id).expect("synced implies state");
         let base_version = state.version;
         let effective = if self.config.canonicalize_deltas {
-            delta.canonicalize(&state.plaintext)?
+            countermeasures::canonical_delta(delta, &state.plaintext)?
         } else {
             delta.clone()
         };

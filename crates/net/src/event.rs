@@ -1126,8 +1126,8 @@ impl EventLoop {
                 };
                 self.arm_deadline_for(slot, generation, DeadlineKind::Subscription, budget);
                 // The waker may have fired while the park completion was
-                // in flight (publish raced the park) — its entry is
-                // already queued and will re-dispatch on this same pass.
+                // in flight (publish raced the park) — its entry was kept
+                // queued and re-dispatches on this same pass.
             }
         }
     }
@@ -1137,6 +1137,15 @@ impl EventLoop {
         let pending = self.wakeups.drain();
         for (slot, generation) in pending {
             let Some(conn) = self.slab.get_mut(slot, generation) else { continue };
+            if conn.state == ConnState::Dispatched {
+                // The waker fired between the service registering it and
+                // the worker's park completion reaching this loop: keep
+                // the wake for the pass that applies the completion
+                // (which wakes the loop), or the subscriber would sleep
+                // out its whole wait.
+                self.wakeups.push(slot, generation);
+                continue;
+            }
             if conn.state != ConnState::Parked {
                 continue; // stale or duplicate wake
             }

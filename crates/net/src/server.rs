@@ -391,6 +391,47 @@ mod tests {
         server.shutdown();
     }
 
+    /// Fires its waker *before* returning `Parked`, then lingers, so the
+    /// loop sees the wake while the park completion is still on its way —
+    /// the order a publish racing a subscribe produces.
+    struct RacingService {
+        woken: std::sync::atomic::AtomicBool,
+    }
+
+    impl crate::Service for RacingService {
+        fn call(&self, _request: &Request) -> Response {
+            Response::ok("immediate")
+        }
+
+        fn call_deferred(&self, _request: &Request, waker: crate::Waker) -> crate::Served {
+            if self.woken.swap(true, std::sync::atomic::Ordering::SeqCst) {
+                return crate::Served::Response(Response::ok("woken"));
+            }
+            waker.wake();
+            std::thread::sleep(Duration::from_millis(100));
+            crate::Served::Parked { on_timeout: Response::ok("poll-timeout"), wait: None }
+        }
+    }
+
+    #[test]
+    fn a_wake_that_races_the_park_is_not_lost() {
+        let service = Arc::new(RacingService { woken: std::sync::atomic::AtomicBool::new(false) });
+        let server = HttpServer::bind(
+            "127.0.0.1:0",
+            service,
+            ServerConfig {
+                subscription_timeout: Duration::from_secs(10),
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let started = std::time::Instant::now();
+        let resp = raw_exchange(server.local_addr(), &Request::get("/race", &[]), false);
+        assert_eq!(resp.body_text(), Some("woken"), "the early wake was dropped");
+        assert!(started.elapsed() < Duration::from_secs(5), "waited out the subscription");
+        server.shutdown();
+    }
+
     #[test]
     fn subscription_deadline_sends_timeout_response_and_keeps_the_connection() {
         let service = Arc::new(ParkingService::new());

@@ -77,7 +77,8 @@ pub struct DocState {
     /// Number of saves applied (0 for a freshly created document).
     pub version: u64,
     /// Previous contents, oldest first — the revision history the real
-    /// 2011 services kept (and leaked).
+    /// 2011 services kept (and leaked). Stores keep these as differences
+    /// and rebuild them for [`DocStore::get`].
     pub revisions: Vec<Vec<u8>>,
 }
 
@@ -182,6 +183,16 @@ pub trait DocStore: Send + Sync {
     /// Latest content bytes only (cheaper than [`DocStore::get`]).
     fn content(&self, id: &str) -> Option<Vec<u8>>;
 
+    /// Latest content and its version, read atomically — what serving a
+    /// document needs, without materializing its revision history.
+    ///
+    /// The provided implementation goes through [`DocStore::get`], so
+    /// every store has it; the crate's stores answer from the latest
+    /// content alone.
+    fn current(&self, id: &str) -> Option<(Vec<u8>, u64)> {
+        self.get(id).map(|doc| (doc.content, doc.version))
+    }
+
     /// Whether the document exists.
     fn contains(&self, id: &str) -> bool {
         self.content(id).is_some()
@@ -278,6 +289,9 @@ impl<T: DocStore + ?Sized> DocStore for std::sync::Arc<T> {
     }
     fn content(&self, id: &str) -> Option<Vec<u8>> {
         (**self).content(id)
+    }
+    fn current(&self, id: &str) -> Option<(Vec<u8>, u64)> {
+        (**self).current(id)
     }
     fn contains(&self, id: &str) -> bool {
         (**self).contains(id)

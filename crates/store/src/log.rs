@@ -494,6 +494,10 @@ impl DocStore for LogStore {
         self.inner.index.content(id)
     }
 
+    fn current(&self, id: &str) -> Option<(Vec<u8>, u64)> {
+        self.inner.index.current(id)
+    }
+
     fn contains(&self, id: &str) -> bool {
         self.inner.index.contains(id)
     }

@@ -69,6 +69,10 @@ impl DocStore for MemStore {
         self.index.content(id)
     }
 
+    fn current(&self, id: &str) -> Option<(Vec<u8>, u64)> {
+        self.index.current(id)
+    }
+
     fn contains(&self, id: &str) -> bool {
         self.index.contains(id)
     }

@@ -334,6 +334,10 @@ impl DocStore for ShardedLogStore {
         self.route(id).content(id)
     }
 
+    fn current(&self, id: &str) -> Option<(Vec<u8>, u64)> {
+        self.route(id).current(id)
+    }
+
     fn contains(&self, id: &str) -> bool {
         self.route(id).contains(id)
     }

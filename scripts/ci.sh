@@ -14,6 +14,14 @@ cargo test -q --offline
 echo "== cargo clippy =="
 cargo clippy --workspace --offline -- -D warnings
 
+echo "== pebench: smoke run and tests =="
+# The benchmark is a package of its own (pebench/), so the root `cargo
+# test` never builds it, yet it implements DocStore and drives the
+# mediator. Its smoke run exercises every workload with every output
+# check on (~3 s); its tests include traced and untraced smoke runs.
+cargo run --release --offline --manifest-path pebench/Cargo.toml -- --smoke
+cargo test --offline --manifest-path pebench/Cargo.toml
+
 echo "== forced-backend crypto matrix =="
 # The whole crypto + core suite must pass under every forced AES backend
 # so non-AES-NI hosts still exercise the dispatch and fallback paths.
@@ -382,6 +390,9 @@ for row in crows:
     assert row["converged"] is True, f"collab editors diverged: {row}"
     assert row["saves"] > 0 and row["deliveries"] > 0 and row["doc_bytes"] > 0, row
     assert row["push_p99_ns"] > 0 and row["poll_p50_ns"] > 0, row
+    # A save cannot reach a subscriber faster than a loopback round trip:
+    # a push p50 under 10 us means the latency stamps are wrong again.
+    assert row["push_p50_ns"] >= 10_000, f"push p50 below the loopback floor: {row}"
     # The change-stream claim: pushed delivery beats the poll interval
     # even at the p99, at every fan-out level.
     assert row["push_p99_ns"] < row["poll_interval_ms"] * 1_000_000, \
