@@ -1,6 +1,5 @@
-//! Crypto fast-path throughput: scalar baseline vs the batch engine on
-//! full-document encrypt+decrypt, once per AES backend, same run, same
-//! machine.
+//! Crypto throughput: full-document encrypt+decrypt and raw block-cipher
+//! speed, once per AES backend, same run, same machine.
 //!
 //! Usage: `cargo run -p pe-bench --bin crypto_throughput --release -- \
 //!     [--smoke] [--out FILE] [--detect]`
@@ -35,18 +34,16 @@ fn main() {
         (&[4096, 16 * 1024, 64 * 1024, 256 * 1024], 9)
     };
 
-    // Fallback rows (scalar, table) are always reported; the aesni rows
+    // The reference engine's rows are always reported; the aesni rows
     // appear when the CPU can run them.
-    let mut backends = vec![AesBackend::Scalar, AesBackend::Table];
+    let mut backends = vec![AesBackend::Scalar];
     if AesBackend::aesni_supported() {
         backends.push(AesBackend::AesNi);
     }
 
-    println!("# Crypto fast-path throughput — full-document encrypt+decrypt (rECB, b=8)\n");
-    println!("Scalar = pre-fast-path byte-oriented AES, per-block loop, per-block allocation.");
+    println!("# Crypto throughput — full-document encrypt+decrypt (rECB, b=8)\n");
     println!(
-        "Fast = batch seal/open engine, one row per AES backend \
-         (best of {reps} reps; aesni supported: {}).\n",
+        "One row per (size, AES backend); best of {reps} reps; aesni supported: {}.\n",
         AesBackend::aesni_supported()
     );
 
@@ -57,52 +54,37 @@ fn main() {
             vec![
                 format!("{} KiB", row.size_bytes / 1024),
                 row.aes_backend.to_string(),
-                format!("{:.3} ms", (row.scalar_encrypt_s + row.scalar_decrypt_s) * 1e3),
-                format!("{:.3} ms", (row.fast_encrypt_s + row.fast_decrypt_s) * 1e3),
-                format!("{:.1}x", row.encrypt_speedup()),
-                format!("{:.1}x", row.decrypt_speedup()),
-                format!("{:.1}x", row.roundtrip_speedup()),
-                format!("{:.1}", row.fast_throughput_mib_s()),
+                format!("{:.3} ms", row.encrypt_s * 1e3),
+                format!("{:.3} ms", row.decrypt_s * 1e3),
+                format!("{:.1}", row.throughput_mib_s()),
             ]
         })
         .collect();
     println!(
         "{}",
-        markdown_table(
-            &[
-                "size",
-                "backend",
-                "scalar enc+dec",
-                "fast enc+dec",
-                "enc speedup",
-                "dec speedup",
-                "roundtrip speedup",
-                "fast MiB/s"
-            ],
-            &table
-        )
+        markdown_table(&["size", "backend", "encrypt", "decrypt", "roundtrip MiB/s"], &table)
     );
 
     println!("## Raw block-cipher throughput (1 MiB bulk, no document machinery)\n");
     let cipher_rows = raw_cipher_throughput(&backends, reps);
-    let table_row = cipher_rows.iter().find(|r| r.aes_backend == "table");
+    let scalar_row = cipher_rows.iter().find(|r| r.aes_backend == "scalar");
     let cipher_table: Vec<Vec<String>> = cipher_rows
         .iter()
         .map(|row| {
-            let vs_table = table_row.map_or(f64::NAN, |t| {
-                (row.encrypt_mib_s + row.decrypt_mib_s) / (t.encrypt_mib_s + t.decrypt_mib_s)
+            let vs_scalar = scalar_row.map_or(f64::NAN, |s| {
+                (row.encrypt_mib_s + row.decrypt_mib_s) / (s.encrypt_mib_s + s.decrypt_mib_s)
             });
             vec![
                 row.aes_backend.to_string(),
                 format!("{:.1}", row.encrypt_mib_s),
                 format!("{:.1}", row.decrypt_mib_s),
-                format!("{vs_table:.1}x"),
+                format!("{vs_scalar:.1}x"),
             ]
         })
         .collect();
     println!(
         "{}",
-        markdown_table(&["backend", "enc MiB/s", "dec MiB/s", "vs table"], &cipher_table)
+        markdown_table(&["backend", "enc MiB/s", "dec MiB/s", "vs scalar"], &cipher_table)
     );
 
     let json = render_json(&rows, &cipher_rows, reps);

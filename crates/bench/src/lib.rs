@@ -17,7 +17,7 @@
 //! | §V-A/VI ablations | [`ablation`] | `ablation_baselines` |
 //! | §V-A integrity design space | [`integrity`] | `ablation_integrity` |
 //! | "typical use" keystroke throughput | — | `typing_throughput` |
-//! | Crypto fast-path throughput | [`crypto_bench::crypto_throughput`] | `crypto_throughput` |
+//! | Crypto throughput per backend | [`crypto_bench::crypto_throughput`] | `crypto_throughput` |
 //! | Network load scaling | [`netload::net_load`] | `net_load` |
 //! | Live collaboration fan-out | [`collab::collab_load`] | `collab_load` |
 //! | Durable store append + replay | [`storebench`] | `store_recovery` |
@@ -33,8 +33,6 @@ pub mod ablation;
 pub mod blowup;
 pub mod collab;
 pub mod crypto_bench;
-pub mod prepr_drbg;
-pub mod prepr_list;
 pub mod integrity;
 pub mod macrobench;
 pub mod matrix;

@@ -1445,6 +1445,7 @@ mod stats {
     use pe_cloud::meter::MeteredService;
     use pe_cloud::net::NetworkModel;
     use pe_cloud::CloudService;
+    use pe_collab::{LiveDocs, LiveSession, SharedChannel};
     use pe_crypto::CtrDrbg;
     use pe_delta::Delta;
     use pe_extension::{DocsMediator, MediatorConfig};
@@ -1486,23 +1487,30 @@ mod stats {
         client.editor().delete(0, 4);
         client.save();
 
-        // --- Two writers on the same document: conflict, then merge. ---
-        let reopen = |seed: u64| {
+        // --- Two live writers on the same document: Bob's save loses
+        //     the race, folds Alice's change from the stream, lands. ---
+        let live = LiveDocs::new(Arc::clone(&server));
+        let join = |name: &str, seed: u64| {
             let mut m = DocsMediator::with_rng(
-                Arc::clone(&server),
+                Arc::clone(&live),
                 MediatorConfig::recb(8),
                 CtrDrbg::from_seed(seed),
             );
             m.register_password(&doc_id, "stats-pw");
-            DocsClient::open(PrivateChannel(m), &doc_id)
+            let channel = SharedChannel::new(PrivateChannel(m));
+            let client = DocsClient::open(channel.clone(), &doc_id)
+                .map_err(|_| bad(&format!("{name} open failed")))?;
+            LiveSession::start(client, channel, name, None)
+                .map_err(|e| bad(&format!("{name} join failed: {e}")))
         };
-        let mut alice = reopen(1).map_err(|_| bad("alice open failed"))?;
-        let mut bob = reopen(2).map_err(|_| bad("bob open failed"))?;
-        alice.editor().insert(0, "[alice] ");
-        alice.save_merging(4);
+        let mut alice = join("alice", 1)?;
+        let mut bob = join("bob", 2)?;
+        alice.client().editor().insert(0, "[alice] ");
         let bob_len = bob.content().len();
-        bob.editor().insert(bob_len, " [bob]");
-        bob.save_merging(4);
+        bob.client().editor().insert(bob_len, " [bob]");
+        if alice.save() != SaveOutcome::Saved || bob.save() != SaveOutcome::Saved {
+            return Err(bad("live save failed"));
+        }
 
         // --- RPC document: integrity mode, then a tamper attempt. ---
         let mut rpc_mediator = DocsMediator::with_rng(

@@ -67,14 +67,25 @@ pub enum SaveOutcome {
 /// own content (a `0` hash — what the extension substitutes — is accepted
 /// silently, which is exactly why single-user sessions work and
 /// concurrent sessions conflict).
+///
+/// The editor's pending delta is the only record of edits the server
+/// has not accepted: a save consumes it only when the server accepts
+/// the save, and every resynchronization rebases it over whatever
+/// changed server-side.
 pub struct DocsClient<C> {
     channel: C,
     doc_id: String,
     editor: Editor,
     /// Content as of the last successful synchronization with the server
-    /// (the base every unsent local edit is relative to).
+    /// (the base the editor's pending delta applies to).
     synced: String,
     sent_full_save: bool,
+    /// Set when the server rejected a save, or acknowledged one with a
+    /// hash that differs from ours: `synced` no longer matches the
+    /// server, so saves answer `Conflict` without sending anything until
+    /// the client resynchronizes (a folded foreign change, a merge of
+    /// server content, a noted server version, or a refresh).
+    needs_resync: bool,
     conflicts: usize,
     /// Server version carried by the last successful save Ack — the
     /// change-stream sequence of the client's own save, used by live
@@ -87,16 +98,14 @@ pub struct DocsClient<C> {
     /// [`DocsClient::note_server_version`] (live sessions do this):
     /// classic plaintext sessions stay on the paper's Ack-hash conflict
     /// detection and never send the precondition, so their observable
-    /// protocol is unchanged. Once armed, every sync point (fetch, save
-    /// ack) refreshes it.
+    /// protocol is unchanged. Once armed, every save ack refreshes it.
     base_version: Option<u64>,
     /// When the last save request was handed to the channel — the
     /// moment before the send, whatever the server answered.
     last_save_sent: Option<std::time::Instant>,
-    /// Delay schedule between failed save attempts in
-    /// [`DocsClient::save_with_retry`] and [`DocsClient::save_merging`].
-    /// Hammering a struggling server with zero-delay retries only feeds
-    /// the overload; seeded jitter keeps runs reproducible.
+    /// Delay schedule between failed save attempts. Hammering a
+    /// struggling server with zero-delay retries only feeds the
+    /// overload; seeded jitter keeps runs reproducible.
     backoff: BackoffPolicy,
 }
 
@@ -121,6 +130,7 @@ impl<C: Channel> DocsClient<C> {
             editor: Editor::new(&content),
             synced: content,
             sent_full_save: false,
+            needs_resync: false,
             conflicts: 0,
             last_ack_version: None,
             last_save_sent: None,
@@ -143,7 +153,7 @@ impl<C: Channel> DocsClient<C> {
 
     /// Sleeps per the backoff schedule before retry number `attempt`
     /// (0-based), recording the actual delay.
-    fn backoff_pause(&self, attempt: u32) {
+    pub fn backoff_pause(&self, attempt: u32) {
         let slept = self.backoff.sleep(attempt);
         pe_observe::static_histogram!("client.retry_backoff_ns")
             .record(slept.as_nanos() as u64);
@@ -194,8 +204,8 @@ impl<C: Channel> DocsClient<C> {
         self.last_save_sent
     }
 
-    /// Applies a *foreign* delta pushed from the change stream: local
-    /// unsent edits are rebased over it with operational transformation,
+    /// Applies a *foreign* delta pushed from the change stream: unsent
+    /// local edits are rebased over it with operational transformation,
     /// so the buffer keeps the user's intent on top of the collaborator's
     /// change and the sync point advances to the server's new content.
     ///
@@ -203,22 +213,11 @@ impl<C: Channel> DocsClient<C> {
     ///
     /// Returns the delta error when `foreign` does not apply to the sync
     /// point (the stream and the session disagree about the base — the
-    /// caller should fall back to a full resync).
+    /// caller should fall back to a full resync). State is untouched.
     pub fn apply_foreign_delta(&mut self, foreign: &Delta) -> Result<(), pe_delta::DeltaError> {
         let new_synced = foreign.apply(&self.synced)?;
-        let local = diff(&self.synced, self.editor.content());
-        let base_len = self.synced.chars().count();
-        let rebased = local.transform(foreign, base_len, Side::Right)?;
         pe_observe::static_counter!("client.foreign_deltas").inc();
-        self.editor.reset(&new_synced);
-        if !rebased.is_identity() {
-            self.editor.apply(rebased);
-        }
-        self.synced = new_synced;
-        // The server already holds the new base; stay incremental. Its
-        // version is unknown until the caller reports it.
-        self.sent_full_save = true;
-        self.base_version = None;
+        self.rebase_onto(foreign, new_synced);
         Ok(())
     }
 
@@ -226,9 +225,13 @@ impl<C: Channel> DocsClient<C> {
     /// Live sessions call this after folding stream changes at a known
     /// sequence, re-arming the `baseVersion` save precondition that
     /// [`DocsClient::apply_foreign_delta`] and
-    /// [`DocsClient::merge_server_content`] conservatively clear.
+    /// [`DocsClient::merge_server_content`] conservatively clear. The
+    /// server holds the sync point at that version, so later saves are
+    /// deltas against it.
     pub fn note_server_version(&mut self, version: u64) {
         self.base_version = Some(version);
+        self.sent_full_save = true;
+        self.needs_resync = false;
     }
 
     /// Resynchronizes on authoritative server content (the change
@@ -236,29 +239,40 @@ impl<C: Channel> DocsClient<C> {
     /// edits, rebasing them over whatever changed server-side.
     pub fn merge_server_content(&mut self, server_content: &str) {
         if server_content == self.synced {
+            self.needs_resync = false;
             return;
         }
-        let local = diff(&self.synced, self.editor.content());
         let foreign = diff(&self.synced, server_content);
+        self.rebase_onto(&foreign, server_content.to_string());
+    }
+
+    /// The one rebase routine behind both resync paths: moves the sync
+    /// point over `foreign` (a change the server applied to `synced`,
+    /// yielding `new_synced`) and rebases the pending delta — exactly the
+    /// unsent edits — over it.
+    fn rebase_onto(&mut self, foreign: &Delta, new_synced: String) {
         let base_len = self.synced.chars().count();
-        pe_observe::static_counter!("client.merges").inc();
-        let rebased = match local.transform(&foreign, base_len, Side::Right) {
+        let rebased = match self.editor.pending().transform(foreign, base_len, Side::Right) {
             Ok(rebased) => rebased,
-            // Transform of two well-formed deltas over their common base
-            // cannot fail; defensively drop local edits rather than
-            // diverging from the server.
+            // Two deltas over their common base always transform;
+            // defensively drop local edits rather than diverging from
+            // the server.
             Err(_) => {
                 pe_observe::static_counter!("client.merge_transform_failures").inc();
-                diff(server_content, server_content)
+                Delta::new()
             }
         };
-        self.editor.reset(server_content);
+        self.editor.reset(&new_synced);
         if !rebased.is_identity() {
+            pe_observe::static_counter!("client.merges").inc();
             self.editor.apply(rebased);
         }
-        self.synced = server_content.to_string();
+        self.synced = new_synced;
+        // The server already holds the new base; stay incremental. Its
+        // version is unknown until the caller reports it.
         self.sent_full_save = true;
         self.base_version = None;
+        self.needs_resync = false;
     }
 
     fn local_hash(&self) -> String {
@@ -267,6 +281,8 @@ impl<C: Channel> DocsClient<C> {
 
     /// Saves pending edits: a full `docContents` save the first time, a
     /// delta save afterwards, mirroring the observed client behaviour.
+    /// After a `Conflict` the edits stay pending, and later saves answer
+    /// `Conflict` without a request until the client resynchronizes.
     pub fn save(&mut self) -> SaveOutcome {
         self.save_inner().0
     }
@@ -274,33 +290,36 @@ impl<C: Channel> DocsClient<C> {
     /// Like [`DocsClient::save`] but also exposes the server's status
     /// code so callers can tell transient failures (5xx) from conflicts.
     fn save_inner(&mut self) -> (SaveOutcome, u16) {
+        if self.needs_resync {
+            return (SaveOutcome::Conflict, 409);
+        }
         if self.sent_full_save && !self.editor.has_pending() {
             return (SaveOutcome::Clean, 200);
         }
         pe_observe::static_counter!("client.save_attempts").inc();
-        self.last_save_sent = Some(std::time::Instant::now());
-        let response = if self.sent_full_save {
-            let delta = self.editor.take_pending();
-            let serialized = delta.serialize();
-            let mut fields: Vec<(&str, String)> = vec![("delta", serialized)];
+        let body = if self.sent_full_save {
+            let mut fields: Vec<(&str, String)> =
+                vec![("delta", self.editor.pending().serialize())];
             if let Some(base) = self.base_version {
                 fields.push(("baseVersion", base.to_string()));
             }
             let pairs: Vec<(&str, &str)> =
                 fields.iter().map(|(k, v)| (*k, v.as_str())).collect();
-            let body = form::encode_pairs(&pairs);
-            self.channel.exchange(&Request::post("/Doc", &[("docID", &self.doc_id)], body))
+            form::encode_pairs(&pairs)
         } else {
-            self.editor.take_pending(); // folded into the full save
-            let body =
-                form::encode_pairs(&[("docContents", self.editor.content())]);
-            self.channel.exchange(&Request::post("/Doc", &[("docID", &self.doc_id)], body))
+            form::encode_pairs(&[("docContents", self.editor.content())])
         };
+        self.last_save_sent = Some(std::time::Instant::now());
+        let response =
+            self.channel.exchange(&Request::post("/Doc", &[("docID", &self.doc_id)], body));
         if !response.is_success() {
             self.conflicts += 1;
+            self.needs_resync = true;
             pe_observe::static_counter!("client.save_conflicts").inc();
             return (SaveOutcome::Conflict, response.status);
         }
+        // The server holds the edits now (a full save folds them in).
+        self.editor.take_pending();
         self.sent_full_save = true;
         let body = response.body_text().unwrap_or("");
         let pairs = form::parse_pairs(body).unwrap_or_default();
@@ -317,97 +336,22 @@ impl<C: Channel> DocsClient<C> {
             (SaveOutcome::Saved, response.status)
         } else {
             self.conflicts += 1;
+            self.needs_resync = true;
             pe_observe::static_counter!("client.save_conflicts").inc();
             pe_observe::static_counter!("client.save_ack_divergence").inc();
             (SaveOutcome::Conflict, response.status)
         }
     }
 
-    /// Fetches the server's current content without touching local state.
-    fn fetch(&mut self) -> Option<String> {
-        let response = self
-            .channel
-            .exchange(&Request::get("/Doc/load", &[("docID", &self.doc_id)]));
-        if !response.is_success() {
-            return None;
-        }
-        let body = response.body_text().unwrap_or("");
-        let pairs = form::parse_pairs(body).unwrap_or_default();
-        if self.base_version.is_some() {
-            if let Some(version) =
-                form::first_value(&pairs, "version").and_then(|v| v.parse().ok())
-            {
-                self.base_version = Some(version);
-            }
-        }
-        form::first_value(&pairs, "content").map(str::to_string)
-    }
-
-    /// Saves with **merge-on-conflict**: the collaborative mode the paper
-    /// leaves to future work (§VII-A cites SPORC). Before sending, the
-    /// client checks whether the server moved past its sync point; if so
-    /// it rebases its unsent edits over the concurrent changes with
-    /// operational transformation ([`pe_delta::Delta::transform`]) and
-    /// then saves the rebased delta. Works identically in plaintext and
-    /// private mode — in private mode the pre-flight load also re-syncs
-    /// the mediator's ciphertext mirror, which is exactly what makes
-    /// concurrent encrypted editing converge.
-    pub fn save_merging(&mut self, max_attempts: usize) -> SaveOutcome {
-        for attempt in 0..max_attempts.max(1) {
-            if attempt > 0 {
-                self.backoff_pause(attempt as u32 - 1);
-            }
-            let Some(server_content) = self.fetch() else {
-                continue; // transient load failure
-            };
-            // Rebuild the pending delta from first principles: everything
-            // between the sync point and the current buffer. (A previous
-            // failed attempt may have drained the editor's pending state;
-            // the canonical diff recovers it.)
-            let local = diff(&self.synced, self.editor.content());
-            if server_content != self.synced {
-                // Rebase local intent over the concurrent foreign changes.
-                pe_observe::static_counter!("client.merges").inc();
-                let foreign = diff(&self.synced, &server_content);
-                let base_len = self.synced.chars().count();
-                let Ok(rebased) = local.transform(&foreign, base_len, Side::Right) else {
-                    return SaveOutcome::Conflict;
-                };
-                self.editor.reset(&server_content);
-                if !rebased.is_identity() {
-                    self.editor.apply(rebased);
-                }
-                self.synced = server_content;
-            } else {
-                let content = self.editor.content().to_string();
-                self.editor.reset(&self.synced.clone());
-                if !local.is_identity() {
-                    self.editor.apply(local);
-                }
-                debug_assert_eq!(self.editor.content(), content);
-            }
-            // The server already holds the (possibly merged) base; stay on
-            // the incremental path.
-            self.sent_full_save = true;
-            match self.save_inner() {
-                (SaveOutcome::Saved, _) => return SaveOutcome::Saved,
-                (SaveOutcome::Clean, _) => return SaveOutcome::Clean,
-                (SaveOutcome::Conflict, _) => continue,
-            }
-        }
-        SaveOutcome::Conflict
-    }
-
     /// Saves with bounded retries: **transient** failures (5xx — a flaky
-    /// transport or server front-end) are retried up to `attempts` times
-    /// by re-queueing the unsent edits and re-establishing the session
-    /// with a full save. Genuine conflicts (409 / Ack-hash mismatch,
-    /// i.e. another writer) are returned immediately for the caller to
-    /// resolve via [`DocsClient::refresh`] — blindly retrying those would
-    /// clobber the other writer.
+    /// transport or server front-end) are retried up to `attempts` times,
+    /// re-establishing the session with a full save of the still-pending
+    /// edits. Genuine conflicts (409 / Ack-hash mismatch, i.e. another
+    /// writer) are returned immediately for the caller to resolve via
+    /// [`DocsClient::refresh`] — blindly retrying those would clobber the
+    /// other writer.
     pub fn save_with_retry(&mut self, attempts: usize) -> SaveOutcome {
         for attempt in 1..=attempts.max(1) {
-            let snapshot = self.editor.clone();
             let (outcome, status) = self.save_inner();
             match outcome {
                 SaveOutcome::Saved | SaveOutcome::Clean => {
@@ -416,11 +360,12 @@ impl<C: Channel> DocsClient<C> {
                     return outcome;
                 }
                 SaveOutcome::Conflict if status >= 500 => {
-                    // Transient: restore the unsent edits; the next
-                    // attempt re-establishes server state via a full save.
+                    // Transient: nothing landed and the edits are still
+                    // pending; the next attempt re-establishes server
+                    // state via a full save.
                     pe_observe::static_counter!("client.save_retries").inc();
-                    self.editor = snapshot;
                     self.sent_full_save = false;
+                    self.needs_resync = false;
                     if attempt < attempts.max(1) {
                         self.backoff_pause(attempt as u32 - 1);
                     }
@@ -449,6 +394,7 @@ impl<C: Channel> DocsClient<C> {
         let content = form::first_value(&pairs, "content").unwrap_or("");
         self.editor.reset(content);
         self.synced = content.to_string();
+        self.needs_resync = false;
         // A refresh re-synchronizes the session; subsequent saves may be
         // incremental again only after a full save reestablishes state.
         self.sent_full_save = false;
@@ -472,6 +418,7 @@ mod tests {
     use pe_cloud::docs::DocsServer;
     use pe_crypto::CtrDrbg;
     use pe_extension::MediatorConfig;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn new_doc(server: &DocsServer) -> String {
@@ -620,6 +567,47 @@ mod tests {
         assert_eq!(client.content(), "abc");
     }
 
+    /// Counts the requests that reach the server.
+    struct Counted(Arc<DocsServer>, Arc<AtomicUsize>);
+
+    impl Channel for Counted {
+        fn exchange(&mut self, request: &Request) -> Response {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.handle(request)
+        }
+    }
+
+    #[test]
+    fn a_rejected_save_keeps_its_edit_until_the_client_resyncs() {
+        let server = Arc::new(DocsServer::new());
+        let doc_id = new_doc(&server);
+        let sent = Arc::new(AtomicUsize::new(0));
+        let mut client =
+            DocsClient::open(Counted(Arc::clone(&server), Arc::clone(&sent)), &doc_id).unwrap();
+        client.editor().insert(0, "base text");
+        assert_eq!(client.save(), SaveOutcome::Saved);
+        client.note_server_version(client.last_ack_version().expect("version in ack"));
+        client.editor().insert(9, " +a");
+        // A collaborator's save lands first, so the armed precondition
+        // rejects this client's delta.
+        let mut other = DocsClient::open(DirectChannel(Arc::clone(&server)), &doc_id).unwrap();
+        other.editor().insert(0, "B");
+        assert_eq!(other.save(), SaveOutcome::Saved);
+        assert_eq!(client.save(), SaveOutcome::Conflict);
+
+        // The edit is still pending: no `Clean`, and no request either,
+        // until the client has folded what landed.
+        let before = sent.load(Ordering::Relaxed);
+        assert_eq!(client.save(), SaveOutcome::Conflict);
+        assert_eq!(sent.load(Ordering::Relaxed), before, "a stale client sends nothing");
+        assert_eq!(client.content(), "base text +a");
+
+        client.apply_foreign_delta(&diff("base text", "Bbase text")).unwrap();
+        assert_eq!(client.save(), SaveOutcome::Saved);
+        assert_eq!(server.stored_content(&doc_id).unwrap(), "Bbase text +a");
+        assert_eq!(client.content(), "Bbase text +a");
+    }
+
     #[test]
     fn merge_server_content_preserves_local_intent() {
         let server = Arc::new(DocsServer::new());
@@ -765,152 +753,5 @@ mod retry_tests {
             "retries must be paced, not immediate: {:?}",
             started.elapsed()
         );
-    }
-}
-
-#[cfg(test)]
-mod merge_tests {
-    use super::*;
-    use pe_cloud::docs::DocsServer;
-    use pe_crypto::CtrDrbg;
-    use pe_extension::{DocsMediator, MediatorConfig};
-    use std::sync::Arc;
-
-    fn new_doc(server: &DocsServer) -> String {
-        let resp = server.handle(&Request::post("/Doc", &[("cmd", "create")], ""));
-        let pairs = form::parse_pairs(resp.body_text().unwrap()).unwrap();
-        form::first_value(&pairs, "docID").unwrap().to_string()
-    }
-
-    #[test]
-    fn concurrent_plaintext_writers_converge_with_merge() {
-        let server = Arc::new(DocsServer::new());
-        let doc_id = new_doc(&server);
-        let mut alice = DocsClient::open(DirectChannel(Arc::clone(&server)), &doc_id).unwrap();
-        alice.editor().insert(0, "shared base. ");
-        assert_eq!(alice.save(), SaveOutcome::Saved);
-        let mut bob = DocsClient::open(DirectChannel(Arc::clone(&server)), &doc_id).unwrap();
-        assert_eq!(bob.save(), SaveOutcome::Saved);
-
-        // Concurrent edits: alice prepends, bob appends.
-        alice.editor().insert(0, "[alice] ");
-        assert_eq!(alice.save_merging(4), SaveOutcome::Saved);
-        let bob_len = bob.content().len();
-        bob.editor().insert(bob_len, "[bob]");
-        assert_eq!(bob.save_merging(4), SaveOutcome::Saved);
-
-        let stored = server.stored_content(&doc_id).unwrap();
-        assert_eq!(stored, "[alice] shared base. [bob]", "both edits must merge");
-        assert_eq!(bob.content(), stored);
-    }
-
-    #[test]
-    fn concurrent_private_writers_converge_with_merge() {
-        // The §VII-A "partial" scenario, upgraded: two writers through
-        // separate privacy mediators, merging on conflict. The server
-        // never sees plaintext yet both edits land.
-        let server = Arc::new(DocsServer::new());
-        let doc_id = new_doc(&server);
-        let mut setup = DocsMediator::with_rng(
-            Arc::clone(&server),
-            MediatorConfig::recb(8),
-            CtrDrbg::from_seed(70),
-        );
-        setup.register_password(&doc_id, "merge-pw");
-        setup.save_full(&doc_id, "shared base. ").unwrap();
-
-        let make_client = |seed: u64| {
-            let mut mediator = DocsMediator::with_rng(
-                Arc::clone(&server),
-                MediatorConfig::recb(8),
-                CtrDrbg::from_seed(seed),
-            );
-            mediator.register_password(&doc_id, "merge-pw");
-            DocsClient::open(PrivateChannel(mediator), &doc_id).unwrap()
-        };
-        let mut alice = make_client(71);
-        let mut bob = make_client(72);
-        assert_eq!(alice.content(), "shared base. ");
-        assert_eq!(bob.content(), "shared base. ");
-
-        alice.editor().insert(0, "[alice] ");
-        assert_eq!(alice.save_merging(4), SaveOutcome::Saved);
-        let bob_len = bob.content().len();
-        bob.editor().insert(bob_len, "[bob]");
-        assert_eq!(bob.save_merging(4), SaveOutcome::Saved);
-
-        // The provider stores only ciphertext…
-        let stored = server.stored_content(&doc_id).unwrap();
-        assert!(!stored.contains("alice") && !stored.contains("bob"));
-        // …which decrypts to the converged merge for a fresh reader.
-        let mut reader = DocsMediator::with_rng(
-            Arc::clone(&server),
-            MediatorConfig::recb(8),
-            CtrDrbg::from_seed(73),
-        );
-        reader.register_password(&doc_id, "merge-pw");
-        assert_eq!(
-            reader.open_document(&doc_id).unwrap(),
-            "[alice] shared base. [bob]",
-            "encrypted concurrent edits must converge"
-        );
-    }
-
-    #[test]
-    fn merge_handles_interleaved_rounds() {
-        let server = Arc::new(DocsServer::new());
-        let doc_id = new_doc(&server);
-        let mut a = DocsClient::open(DirectChannel(Arc::clone(&server)), &doc_id).unwrap();
-        a.editor().insert(0, "root. ");
-        a.save();
-        let mut b = DocsClient::open(DirectChannel(Arc::clone(&server)), &doc_id).unwrap();
-        b.save();
-        for round in 0..5 {
-            let a_len = a.content().len();
-            a.editor().insert(a_len, &format!("a{round}. "));
-            assert_eq!(a.save_merging(4), SaveOutcome::Saved, "a round {round}");
-            let b_len = b.content().len();
-            b.editor().insert(b_len, &format!("b{round}. "));
-            assert_eq!(b.save_merging(4), SaveOutcome::Saved, "b round {round}");
-        }
-        let stored = server.stored_content(&doc_id).unwrap();
-        for round in 0..5 {
-            assert!(stored.contains(&format!("a{round}. ")), "missing a{round}: {stored}");
-            assert!(stored.contains(&format!("b{round}. ")), "missing b{round}: {stored}");
-        }
-    }
-}
-
-#[cfg(test)]
-mod merge_resilience_tests {
-    use super::*;
-    use pe_cloud::docs::DocsServer;
-    use pe_cloud::fault::FlakyService;
-    use std::sync::Arc;
-
-    #[test]
-    fn save_merging_survives_transient_failures_without_losing_edits() {
-        let server = Arc::new(DocsServer::new());
-        let resp = server.handle(&Request::post("/Doc", &[("cmd", "create")], ""));
-        let pairs = form::parse_pairs(resp.body_text().unwrap()).unwrap();
-        let doc_id = form::first_value(&pairs, "docID").unwrap().to_string();
-        // Fail roughly one in three requests.
-        let flaky = FlakyService::new(Arc::clone(&server), 3, 21);
-        let mut client = match DocsClient::open(DirectChannel(flaky), &doc_id) {
-            Ok(client) => client,
-            Err(_) => {
-                let flaky = FlakyService::new(Arc::clone(&server), 3, 22);
-                DocsClient::open(DirectChannel(flaky), &doc_id).unwrap()
-            }
-        };
-        for i in 0..12 {
-            let len = client.content().len();
-            client.editor().insert(len, &format!("m{i}. "));
-            assert_eq!(client.save_merging(40), SaveOutcome::Saved, "edit {i}");
-        }
-        let stored = server.stored_content(&doc_id).unwrap();
-        for i in 0..12 {
-            assert!(stored.contains(&format!("m{i}. ")), "lost edit {i}: {stored}");
-        }
     }
 }

@@ -52,6 +52,11 @@ impl Editor {
         !self.pending.is_identity()
     }
 
+    /// The composed delta of all edits since the last `take_pending`.
+    pub fn pending(&self) -> &Delta {
+        &self.pending
+    }
+
     /// Inserts `text` at byte offset `at`.
     ///
     /// # Panics

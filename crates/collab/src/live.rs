@@ -131,12 +131,17 @@ impl LiveDocs {
                 pairs.push(("timeout".into(), "1".into()));
                 pe_observe::static_counter!("collab.poll_timeouts").inc();
             }
-            Collected::Resync { head } => {
-                let Some(content) = self.docs.stored_content(doc_id) else {
+            Collected::Resync { .. } => {
+                // Content and cursor come from one store read. The bus
+                // head can trail a save the store already holds (a save
+                // publishes after its write), and a client resuming from
+                // that head would fold the save a second time.
+                let Some((content, version)) = self.docs.store().current(doc_id) else {
                     return Response::error(404, "no such document");
                 };
+                let content = String::from_utf8_lossy(&content).into_owned();
                 pairs.push(("resync".into(), "1".into()));
-                pairs.push(("seq".into(), head.to_string()));
+                pairs.push(("seq".into(), version.to_string()));
                 pairs.push(("contentHash".into(), DocsServer::content_hash(&content)));
                 pairs.push(("content".into(), content));
                 pe_observe::static_counter!("collab.resyncs_served").inc();
@@ -382,6 +387,19 @@ mod tests {
             values(&pairs, "contentHash"),
             vec![DocsServer::content_hash(content[0]).as_str()]
         );
+    }
+
+    #[test]
+    fn a_resync_resumes_at_the_version_of_its_content() {
+        let live = LiveDocs::new(Arc::new(DocsServer::new()));
+        let doc = create_doc(&live);
+        save_contents(&live, &doc, "v1");
+        // A save the store holds but the bus has not published yet.
+        live.docs().store().put_full(&doc, b"v2").unwrap();
+        let pairs = changes(&live, &doc, 99, 0);
+        assert_eq!(values(&pairs, "resync"), vec!["1"]);
+        assert_eq!(values(&pairs, "content"), vec!["v2"]);
+        assert_eq!(values(&pairs, "seq"), vec!["2"], "cursor must match the content");
     }
 
     #[test]

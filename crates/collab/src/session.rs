@@ -17,9 +17,13 @@
 //! transformation (pending local edits are rebased, [TP1] convergence is
 //! the delta crate's guarantee), our own save echoes are skipped by
 //! sequence number, and a `resync` frame falls back to merging full
-//! content. Presence travels sealed — the session encrypts its own
-//! cursor with the document key and can only open peers' blobs if it
-//! holds the same key; the server relays opaque hex.
+//! content. [`save`](LiveSession::save) sends the pending edits as one
+//! delta against the session's server version; a save that lost a race
+//! is rejected, folded in by a step, and retried. The change stream is
+//! thus the one way concurrent writers converge, and no save loads the
+//! document first. Presence travels sealed — the session encrypts its
+//! own cursor with the document key and can only open peers' blobs if
+//! it holds the same key; the server relays opaque hex.
 //!
 //! [TP1]: pe_delta::Delta::transform
 
@@ -34,6 +38,9 @@ use pe_core::{Presence, PresenceSealer};
 use pe_crypto::form;
 use pe_delta::Delta;
 use pe_net::{HttpClient, SubscriptionConn};
+
+/// Save attempts [`LiveSession::save`] makes before it reports `Conflict`.
+const SAVE_ATTEMPTS: u32 = 4;
 
 /// Why a live session could not make progress.
 #[derive(Debug)]
@@ -397,17 +404,34 @@ impl<C: Channel, P: Channel> LiveSession<C, P> {
         self.cursor = cursor;
     }
 
-    /// Saves local edits, converging on conflict, then advances the
-    /// subscription cursor over our own echo so the next poll does not
-    /// re-apply what we just wrote.
+    /// Saves local edits as a delta against the session's server
+    /// version (`baseVersion`). A save that lost the race to a
+    /// collaborator comes back `Conflict`; the session then folds what
+    /// landed with one zero-wait poll — rebasing the pending edits — and
+    /// tries again, up to four attempts with the client's backoff between
+    /// them. On `Saved` the subscription cursor moves over our own echo
+    /// so the next poll does not re-apply what we just wrote. A
+    /// `Conflict` loses nothing: the edits stay pending for the next save.
     pub fn save(&mut self) -> SaveOutcome {
-        let outcome = self.client.save_merging(4);
-        if outcome == SaveOutcome::Saved {
-            if let Some(version) = self.client.last_ack_version() {
-                self.since = self.since.max(version);
+        for attempt in 0..SAVE_ATTEMPTS {
+            if attempt > 0 {
+                self.client.backoff_pause(attempt - 1);
+                if self.step(Duration::ZERO).is_err() {
+                    continue;
+                }
+            }
+            match self.client.save() {
+                SaveOutcome::Conflict => continue,
+                SaveOutcome::Saved => {
+                    if let Some(version) = self.client.last_ack_version() {
+                        self.since = self.since.max(version);
+                    }
+                    return SaveOutcome::Saved;
+                }
+                SaveOutcome::Clean => return SaveOutcome::Clean,
             }
         }
-        outcome
+        SaveOutcome::Conflict
     }
 
     /// Seals and publishes this editor's presence (name + cursor).

@@ -2,12 +2,13 @@
 //! in-process, over real sockets with event-loop parking, and across a
 //! durable-store restart (the resume-from-`since` contract).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use pe_client::{DirectChannel, DocsClient, PrivateChannel, SaveOutcome};
+use pe_client::{Channel, DirectChannel, DocsClient, PrivateChannel, SaveOutcome};
 use pe_cloud::docs::DocsServer;
-use pe_cloud::{CloudService, Request};
+use pe_cloud::fault::FlakyService;
+use pe_cloud::{CloudService, Request, Response};
 use pe_collab::{
     LiveDocs, LiveService, LiveSession, LiveTransport, SharedChannel, SubscriptionTransport,
 };
@@ -113,6 +114,102 @@ fn pending_local_edits_are_rebased_over_pushed_changes() {
 
     assert_eq!(alice.content(), "[A] the shared line [B]");
     drain_and_assert_converged(&mut alice, &mut bob);
+}
+
+#[test]
+fn a_rebase_keeps_a_collaborators_delete() {
+    let live = LiveDocs::new(Arc::new(DocsServer::new()));
+    let doc = create_doc(&*live);
+    let mut alice = join_in_process(&live, &doc, "alice");
+    let mut bob = join_in_process(&live, &doc, "bob");
+    alice.client().editor().insert(0, "AAAA BBBB CCCC");
+    assert_eq!(alice.save(), SaveOutcome::Saved);
+    assert_eq!(bob.step(Duration::ZERO).unwrap().applied, 1);
+
+    // Alice edits both ends; Bob deletes the middle word and lands first.
+    alice.client().editor().insert(0, "1");
+    alice.client().editor().insert(15, "2");
+    bob.client().editor().delete(5, 5);
+    assert_eq!(bob.save(), SaveOutcome::Saved);
+    // Alice's save is rejected, folds Bob's delete, and lands: only her
+    // two inserts are rebased, so the delete survives.
+    assert_eq!(alice.save(), SaveOutcome::Saved);
+    bob.step(Duration::ZERO).unwrap();
+
+    assert_eq!(alice.content(), "1AAAA CCCC2");
+    assert_eq!(bob.content(), "1AAAA CCCC2");
+    assert_eq!(live.docs().stored_content(&doc).unwrap(), "1AAAA CCCC2");
+}
+
+/// A channel that logs the path of every request it forwards.
+#[derive(Clone)]
+struct Logged(Arc<LiveDocs>, Arc<Mutex<Vec<String>>>);
+
+impl Logged {
+    fn take(&self) -> Vec<String> {
+        std::mem::take(&mut *self.1.lock().unwrap())
+    }
+}
+
+impl Channel for Logged {
+    fn exchange(&mut self, request: &Request) -> Response {
+        self.1.lock().unwrap().push(request.path.clone());
+        self.0.handle(request)
+    }
+}
+
+#[test]
+fn a_live_save_sends_only_the_save_unless_it_conflicts() {
+    let live = LiveDocs::new(Arc::new(DocsServer::new()));
+    let doc = create_doc(&*live);
+    let log = Logged(Arc::clone(&live), Arc::default());
+    let client = DocsClient::open(log.clone(), &doc).unwrap();
+    let mut alice = LiveSession::start(client, log.clone(), "alice", None).unwrap();
+    let mut bob = join_in_process(&live, &doc, "bob");
+    log.take();
+
+    // No conflict: one request, the save itself — no load first.
+    alice.client().editor().insert(0, "first");
+    assert_eq!(alice.save(), SaveOutcome::Saved);
+    assert_eq!(log.take(), ["/Doc"]);
+
+    // Bob lands first: the rejected save, one poll that folds his
+    // change, and the save that lands.
+    bob.step(Duration::ZERO).unwrap();
+    bob.client().editor().insert(0, "bob ");
+    assert_eq!(bob.save(), SaveOutcome::Saved);
+    let len = alice.content().len();
+    alice.client().editor().insert(len, " alice");
+    assert_eq!(alice.save(), SaveOutcome::Saved);
+    assert_eq!(log.take(), ["/Doc", "/Doc/changes", "/Doc"]);
+    assert_eq!(alice.content(), "bob first alice");
+}
+
+#[test]
+fn flaky_transport_loses_no_live_edit() {
+    let live = LiveDocs::new(Arc::new(DocsServer::new()));
+    let doc = create_doc(&*live);
+    // Fail roughly one request in three, on the edit and poll paths alike.
+    let flaky = Arc::new(FlakyService::new(Arc::clone(&live), 3, 21));
+    let mut session = (0..8)
+        .find_map(|_| {
+            let client = DocsClient::open(DirectChannel(Arc::clone(&flaky)), &doc).ok()?;
+            LiveSession::start(client, DirectChannel(Arc::clone(&flaky)), "flaky", None).ok()
+        })
+        .expect("one of eight joins gets through");
+    for i in 0..12 {
+        let len = session.content().len();
+        session.client().editor().insert(len, &format!("m{i}. "));
+        // A save that runs out of attempts keeps the edit pending; the
+        // next call sends it again.
+        let saved = (0..10).any(|_| session.save() == SaveOutcome::Saved);
+        assert!(saved, "edit {i} never landed");
+    }
+    let stored = live.docs().stored_content(&doc).unwrap();
+    for i in 0..12 {
+        assert!(stored.contains(&format!("m{i}. ")), "lost edit {i}: {stored}");
+    }
+    assert_eq!(session.content(), stored);
 }
 
 #[test]
@@ -382,24 +479,51 @@ mod convergence_proptest {
     use super::*;
     use proptest::prelude::*;
 
+    /// Hands out every printable ASCII character at most once, so each
+    /// inserted character names the one insert that made it.
+    struct Fresh(std::ops::RangeInclusive<u8>);
+
+    impl Fresh {
+        fn take(&mut self, n: usize) -> String {
+            (0..n).map(|_| char::from(self.0.next().expect("scripts fit in 94 chars"))).collect()
+        }
+    }
+
+    /// What the scripts typed and deleted, across both editors.
+    #[derive(Default)]
+    struct Typed {
+        inserted: String,
+        deleted: String,
+    }
+
     /// Applies one scripted edit to a session's editor. Positions are
     /// taken modulo the buffer so every script is valid.
-    fn apply_edit(session: &mut InProcSession, kind: u8, pos: u8, ch: char) {
+    fn apply_edit(
+        session: &mut InProcSession,
+        kind: u8,
+        pos: u8,
+        fresh: &mut Fresh,
+        typed: &mut Typed,
+    ) {
         let len = session.content().len();
         match kind % 3 {
             0 => {
                 let at = pos as usize % (len + 1);
-                let text: String = std::iter::repeat_n(ch, 1 + (pos as usize % 3)).collect();
+                let text = fresh.take(1 + pos as usize % 3);
+                typed.inserted.push_str(&text);
                 session.client().editor().insert(at, &text);
             }
             1 if len > 0 => {
                 let at = pos as usize % len;
                 let n = (1 + pos as usize % 4).min(len - at);
+                typed.deleted.push_str(&session.content()[at..at + n]);
                 session.client().editor().delete(at, n);
             }
             _ => {
                 let at = pos as usize % (len + 1);
-                session.client().editor().insert(at, &ch.to_string());
+                let text = fresh.take(1);
+                typed.inserted.push_str(&text);
+                session.client().editor().insert(at, &text);
             }
         }
     }
@@ -408,30 +532,33 @@ mod convergence_proptest {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Collab-level TP1: two live sessions making arbitrary
-        /// interleaved edits, saves, and polls always converge.
+        /// interleaved edits, saves, and polls always converge — on
+        /// exactly the characters typed minus those deleted, each once.
         #[test]
         fn two_live_sessions_always_converge(
             script_a in proptest::collection::vec(
-                (any::<u8>(), any::<u8>(), proptest::char::range('a', 'f'), any::<bool>()), 1..12),
+                (any::<u8>(), any::<u8>(), any::<bool>()), 1..12),
             script_b in proptest::collection::vec(
-                (any::<u8>(), any::<u8>(), proptest::char::range('p', 'u'), any::<bool>()), 1..12),
+                (any::<u8>(), any::<u8>(), any::<bool>()), 1..12),
         ) {
             let live = LiveDocs::new(Arc::new(DocsServer::new()));
             let doc = create_doc(&*live);
             let mut alice = join_in_process(&live, &doc, "alice");
             let mut bob = join_in_process(&live, &doc, "bob");
+            let mut fresh = Fresh(b'!'..=b'~');
+            let mut typed = Typed::default();
 
             let rounds = script_a.len().max(script_b.len());
             for i in 0..rounds {
-                if let Some(&(kind, pos, ch, save_now)) = script_a.get(i) {
-                    apply_edit(&mut alice, kind, pos, ch);
+                if let Some(&(kind, pos, save_now)) = script_a.get(i) {
+                    apply_edit(&mut alice, kind, pos, &mut fresh, &mut typed);
                     if save_now {
                         alice.save();
                         bob.step(Duration::ZERO).unwrap();
                     }
                 }
-                if let Some(&(kind, pos, ch, save_now)) = script_b.get(i) {
-                    apply_edit(&mut bob, kind, pos, ch);
+                if let Some(&(kind, pos, save_now)) = script_b.get(i) {
+                    apply_edit(&mut bob, kind, pos, &mut fresh, &mut typed);
                     if save_now {
                         bob.save();
                         alice.step(Duration::ZERO).unwrap();
@@ -439,11 +566,18 @@ mod convergence_proptest {
                 }
             }
             drain_and_assert_converged(&mut alice, &mut bob);
-            // Convergence is to the server's authoritative content.
+            // Convergence is to the server's authoritative content…
             prop_assert_eq!(
                 alice.content(),
                 live.docs().stored_content(&doc).unwrap()
             );
+            // …holding every surviving character exactly once.
+            let mut expected: Vec<char> =
+                typed.inserted.chars().filter(|c| !typed.deleted.contains(*c)).collect();
+            let mut got: Vec<char> = alice.content().chars().collect();
+            expected.sort_unstable();
+            got.sort_unstable();
+            prop_assert_eq!(got, expected);
         }
     }
 }

@@ -40,7 +40,7 @@ fn session() -> (String, String, Vec<u8>, Vec<u8>) {
 
 #[test]
 fn forced_backends_produce_identical_documents() {
-    let mut backends = vec![AesBackend::Scalar, AesBackend::Table];
+    let mut backends = vec![AesBackend::Scalar];
     if AesBackend::aesni_supported() {
         backends.push(AesBackend::AesNi);
     }

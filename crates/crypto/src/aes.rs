@@ -1,26 +1,22 @@
-//! AES-128 and AES-256 block ciphers (FIPS-197), T-table fast path.
+//! AES-128 and AES-256 block ciphers (FIPS-197) on two engines.
 //!
-//! The hot implementation works on four 32-bit column words and drives
-//! each round through precomputed T-tables (`SubBytes` ∘ `ShiftRows` ∘
-//! `MixColumns` folded into four 256-entry `u32` tables, the classic
-//! software AES layout). Decryption uses the *equivalent inverse cipher*
-//! (FIPS-197 §5.3.5): inverse T-tables plus decryption round keys that are
-//! precomputed once in [`Aes128::new`]/[`Aes256::new`], so the decrypt
-//! path never derives anything lazily.
+//! Hardware AES-NI runs whenever CPUID reports it. Everywhere else the
+//! byte-oriented FIPS-197 reference engine runs: the cipher exactly as
+//! the standard writes it (SubBytes, ShiftRows, MixColumns, AddRoundKey
+//! on a 16-byte state), with the S-box and its inverse as compile-time
+//! constants. The same engine is the test oracle AES-NI is pinned
+//! against. The reference engine is not constant-time — its S-box
+//! lookups are indexed by key-dependent bytes — while AES-NI is.
 //!
-//! All tables — including the inverse S-box — are generated at compile
-//! time from the forward S-box, so the tables can never disagree with the
-//! standard. Correctness is pinned three ways:
+//! Correctness is pinned three ways:
 //!
 //! * the FIPS-197 Appendix C and SP 800-38A known answer tests,
-//! * the byte-oriented scalar implementation retained in [`reference`],
-//!   which the test suite uses as an independent oracle (a proptest pins
-//!   the two implementations to agree on random keys and blocks),
+//! * proptests that pin the dispatching cipher to the reference engine
+//!   on random keys and blocks,
 //! * round-trip tests over random blocks.
 //!
 //! The paper's prototype used the Stanford JavaScript crypto library's
-//! AES; this module plays that role for the Rust reproduction, but at the
-//! throughput the incremental schemes need for full-document saves.
+//! AES; this module plays that role for the Rust reproduction.
 //!
 //! # Example
 //!
@@ -37,33 +33,30 @@
 
 use crate::BlockCipher;
 
-/// Environment variable that pins the cipher backend (`scalar`, `table`,
-/// or `aesni`), overriding CPUID-based auto-selection.
+/// Environment variable that pins the cipher backend (`scalar` or
+/// `aesni`), overriding CPUID-based auto-selection.
 pub const FORCE_BACKEND_ENV: &str = "PE_CRYPTO_FORCE_BACKEND";
 
 /// Which cipher engine a key schedule was built on.
 ///
 /// Selection happens **once per cipher construction** (`Aes128::new` /
 /// `Aes256::new`): [`AesBackend::select`] consults
-/// [`FORCE_BACKEND_ENV`], then CPUID. All backends are byte-identical —
+/// [`FORCE_BACKEND_ENV`], then CPUID. Both backends are byte-identical —
 /// pinned by the FIPS-197 KATs and cross-backend proptests — so the
 /// choice only affects speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AesBackend {
-    /// Byte-oriented scalar Rijndael (the [`reference`] oracle).
+    /// Byte-oriented FIPS-197 reference (the portable fallback).
     Scalar,
-    /// Software T-table fast path (4×1 KiB lookup tables).
-    Table,
     /// Hardware AES-NI (`aesenc`/`aesdec` x86-64 instructions).
     AesNi,
 }
 
 impl AesBackend {
-    /// Stable lowercase name (`scalar` / `table` / `aesni`).
+    /// Stable lowercase name (`scalar` / `aesni`).
     pub fn name(self) -> &'static str {
         match self {
             AesBackend::Scalar => "scalar",
-            AesBackend::Table => "table",
             AesBackend::AesNi => "aesni",
         }
     }
@@ -81,7 +74,6 @@ impl AesBackend {
             .collect();
         match normalized.as_str() {
             "scalar" => Some(AesBackend::Scalar),
-            "table" => Some(AesBackend::Table),
             "aesni" => Some(AesBackend::AesNi),
             _ => None,
         }
@@ -100,22 +92,16 @@ impl AesBackend {
         }
     }
 
-    /// The backend a fresh cipher will use: the [`FORCE_BACKEND_ENV`]
-    /// override when set and valid, otherwise AES-NI when CPUID reports
-    /// it, otherwise the T-table path. Forcing `aesni` on hardware
-    /// without it falls back to `table` (so test matrices run everywhere);
-    /// unrecognized values are ignored.
+    /// The backend a fresh cipher will use: the reference engine when
+    /// [`FORCE_BACKEND_ENV`] pins `scalar`, otherwise AES-NI when CPUID
+    /// reports it and the reference engine when it does not (so forcing
+    /// `aesni` runs everywhere). Unrecognized values are ignored.
     pub fn select() -> AesBackend {
         let forced = std::env::var(FORCE_BACKEND_ENV).ok().as_deref().and_then(AesBackend::parse);
-        match forced {
-            Some(AesBackend::AesNi) | None => {
-                if AesBackend::aesni_supported() {
-                    AesBackend::AesNi
-                } else {
-                    AesBackend::Table
-                }
-            }
-            Some(backend) => backend,
+        if forced != Some(AesBackend::Scalar) && AesBackend::aesni_supported() {
+            AesBackend::AesNi
+        } else {
+            AesBackend::Scalar
         }
     }
 }
@@ -131,7 +117,6 @@ impl std::fmt::Display for AesBackend {
 fn record_backend_metric(backend: AesBackend) {
     match backend {
         AesBackend::Scalar => pe_observe::static_counter!("crypto.backend.scalar").inc(),
-        AesBackend::Table => pe_observe::static_counter!("crypto.backend.table").inc(),
         AesBackend::AesNi => pe_observe::static_counter!("crypto.backend.aesni").inc(),
     }
 }
@@ -159,8 +144,7 @@ const SBOX: [u8; 256] = [
 ];
 
 /// Inverse S-box, derived from [`SBOX`] at compile time so the two tables
-/// are consistent by construction (this replaces the old lazy `OnceLock`
-/// derivation that sat on the decrypt hot path).
+/// are consistent by construction.
 const INV_SBOX: [u8; 256] = {
     let mut inv = [0u8; 256];
     let mut i = 0;
@@ -177,8 +161,9 @@ const fn xtime(b: u8) -> u8 {
     (b << 1) ^ (if b & 0x80 != 0 { 0x1b } else { 0 })
 }
 
-/// General GF(2^8) multiplication (table generation and key-schedule
-/// InvMixColumns only — never on the per-block path).
+/// General GF(2^8) multiplication (the decrypt-path MixColumns
+/// coefficients are 9, 11, 13, 14).
+#[inline]
 const fn gmul(mut a: u8, mut b: u8) -> u8 {
     let mut p = 0u8;
     let mut i = 0;
@@ -193,382 +178,39 @@ const fn gmul(mut a: u8, mut b: u8) -> u8 {
     p
 }
 
-/// Forward T-tables. `TE[0][x]` packs the MixColumns column
-/// `(2·S[x], S[x], S[x], 3·S[x])` big-endian; `TE[k]` is `TE[0]` rotated
-/// right by `8k` bits, so one round is 16 loads and 16 XORs.
-const TE: [[u32; 256]; 4] = {
-    let mut te = [[0u32; 256]; 4];
-    let mut x = 0;
-    while x < 256 {
-        let s = SBOX[x];
-        let s2 = xtime(s);
-        let s3 = s2 ^ s;
-        let w = ((s2 as u32) << 24) | ((s as u32) << 16) | ((s as u32) << 8) | (s3 as u32);
-        te[0][x] = w;
-        te[1][x] = w.rotate_right(8);
-        te[2][x] = w.rotate_right(16);
-        te[3][x] = w.rotate_right(24);
-        x += 1;
-    }
-    te
-};
-
-/// Inverse T-tables. `TD[0][x]` packs the InvMixColumns column
-/// `(14·Si[x], 9·Si[x], 13·Si[x], 11·Si[x])` big-endian.
-const TD: [[u32; 256]; 4] = {
-    let mut td = [[0u32; 256]; 4];
-    let mut x = 0;
-    while x < 256 {
-        let s = INV_SBOX[x];
-        let w = ((gmul(s, 14) as u32) << 24)
-            | ((gmul(s, 9) as u32) << 16)
-            | ((gmul(s, 13) as u32) << 8)
-            | (gmul(s, 11) as u32);
-        td[0][x] = w;
-        td[1][x] = w.rotate_right(8);
-        td[2][x] = w.rotate_right(16);
-        td[3][x] = w.rotate_right(24);
-        x += 1;
-    }
-    td
-};
-
-/// SubWord: the S-box applied to each byte of a word.
-#[inline]
-fn sub_word(w: u32) -> u32 {
-    (u32::from(SBOX[(w >> 24) as usize]) << 24)
-        | (u32::from(SBOX[(w >> 16) as usize & 0xff]) << 16)
-        | (u32::from(SBOX[(w >> 8) as usize & 0xff]) << 8)
-        | u32::from(SBOX[w as usize & 0xff])
-}
-
-/// InvMixColumns applied to one column word (key-schedule use only).
-#[inline]
-fn inv_mix_word(w: u32) -> u32 {
-    let [a, b, c, d] = w.to_be_bytes();
-    u32::from_be_bytes([
-        gmul(a, 14) ^ gmul(b, 11) ^ gmul(c, 13) ^ gmul(d, 9),
-        gmul(a, 9) ^ gmul(b, 14) ^ gmul(c, 11) ^ gmul(d, 13),
-        gmul(a, 13) ^ gmul(b, 9) ^ gmul(c, 14) ^ gmul(d, 11),
-        gmul(a, 11) ^ gmul(b, 13) ^ gmul(c, 9) ^ gmul(d, 14),
-    ])
-}
-
-/// Word capacity of the largest schedule (AES-256: 4 × 15 round keys).
-const MAX_SCHEDULE_WORDS: usize = 60;
-
-/// Expanded key material for both directions.
-///
-/// `enc` holds the FIPS-197 §5.2 schedule as big-endian column words.
-/// `dec` holds the *decryption* round keys for the equivalent inverse
-/// cipher (§5.3.5): the encryption keys in reverse round order with
-/// InvMixColumns applied to the inner rounds. Both are computed eagerly at
-/// construction so neither direction pays a first-use cost.
-#[derive(Clone)]
-struct KeySchedule {
-    rounds: usize,
-    enc: [u32; MAX_SCHEDULE_WORDS],
-    dec: [u32; MAX_SCHEDULE_WORDS],
-}
-
-impl KeySchedule {
-    /// Expands `key` (16 or 32 bytes) into round keys for both directions.
-    fn expand(key: &[u8], rounds: usize) -> KeySchedule {
-        let nk = key.len() / 4;
-        debug_assert!(nk == 4 || nk == 8);
-        let total_words = 4 * (rounds + 1);
-        let mut enc = [0u32; MAX_SCHEDULE_WORDS];
-        for (i, chunk) in key.chunks_exact(4).enumerate() {
-            enc[i] = u32::from_be_bytes(chunk.try_into().expect("4 bytes"));
-        }
-        let mut rcon: u8 = 0x01;
-        for i in nk..total_words {
-            let mut temp = enc[i - 1];
-            if i % nk == 0 {
-                // RotWord + SubWord + Rcon.
-                temp = sub_word(temp.rotate_left(8)) ^ (u32::from(rcon) << 24);
-                rcon = xtime(rcon);
-            } else if nk > 6 && i % nk == 4 {
-                // AES-256 extra SubWord.
-                temp = sub_word(temp);
-            }
-            enc[i] = enc[i - nk] ^ temp;
-        }
-        // Decryption round keys: reverse round order, InvMixColumns on the
-        // inner rounds (the equivalent inverse cipher's AddRoundKey values).
-        let mut dec = [0u32; MAX_SCHEDULE_WORDS];
-        for j in 0..4 {
-            dec[j] = enc[4 * rounds + j];
-            dec[4 * rounds + j] = enc[j];
-        }
-        for r in 1..rounds {
-            for j in 0..4 {
-                dec[4 * r + j] = inv_mix_word(enc[4 * (rounds - r) + j]);
-            }
-        }
-        KeySchedule { rounds, enc, dec }
-    }
-}
-
-/// One full T-table encryption (FIPS-197 §5.1).
-fn encrypt(ks: &KeySchedule, block: &mut [u8; 16]) {
-    let mut s = [0u32; 4];
-    for c in 0..4 {
-        s[c] = u32::from_be_bytes(block[4 * c..4 * c + 4].try_into().expect("4 bytes"))
-            ^ ks.enc[c];
-    }
-    // One 4-word array view per round instead of four indexed loads, so
-    // the round loop carries a single bounds check.
-    let mut rounds = ks.enc[4..4 * ks.rounds + 4].chunks_exact(4);
-    for _ in 1..ks.rounds {
-        let k: &[u32; 4] = rounds.next().expect("round key").try_into().expect("4 words");
-        s = [
-            TE[0][(s[0] >> 24) as usize]
-                ^ TE[1][(s[1] >> 16) as usize & 0xff]
-                ^ TE[2][(s[2] >> 8) as usize & 0xff]
-                ^ TE[3][s[3] as usize & 0xff]
-                ^ k[0],
-            TE[0][(s[1] >> 24) as usize]
-                ^ TE[1][(s[2] >> 16) as usize & 0xff]
-                ^ TE[2][(s[3] >> 8) as usize & 0xff]
-                ^ TE[3][s[0] as usize & 0xff]
-                ^ k[1],
-            TE[0][(s[2] >> 24) as usize]
-                ^ TE[1][(s[3] >> 16) as usize & 0xff]
-                ^ TE[2][(s[0] >> 8) as usize & 0xff]
-                ^ TE[3][s[1] as usize & 0xff]
-                ^ k[2],
-            TE[0][(s[3] >> 24) as usize]
-                ^ TE[1][(s[0] >> 16) as usize & 0xff]
-                ^ TE[2][(s[1] >> 8) as usize & 0xff]
-                ^ TE[3][s[2] as usize & 0xff]
-                ^ k[3],
-        ];
-    }
-    // Final round: SubBytes + ShiftRows only (no MixColumns).
-    let k: &[u32; 4] = rounds.next().expect("final key").try_into().expect("4 words");
-    for c in 0..4 {
-        let w = u32::from_be_bytes([
-            SBOX[(s[c] >> 24) as usize],
-            SBOX[(s[(c + 1) % 4] >> 16) as usize & 0xff],
-            SBOX[(s[(c + 2) % 4] >> 8) as usize & 0xff],
-            SBOX[s[(c + 3) % 4] as usize & 0xff],
-        ]) ^ k[c];
-        block[4 * c..4 * c + 4].copy_from_slice(&w.to_be_bytes());
-    }
-}
-
-/// One full equivalent-inverse-cipher decryption (FIPS-197 §5.3.5).
-fn decrypt(ks: &KeySchedule, block: &mut [u8; 16]) {
-    let mut s = [0u32; 4];
-    for c in 0..4 {
-        s[c] = u32::from_be_bytes(block[4 * c..4 * c + 4].try_into().expect("4 bytes"))
-            ^ ks.dec[c];
-    }
-    let mut rounds = ks.dec[4..4 * ks.rounds + 4].chunks_exact(4);
-    for _ in 1..ks.rounds {
-        let k: &[u32; 4] = rounds.next().expect("round key").try_into().expect("4 words");
-        s = [
-            TD[0][(s[0] >> 24) as usize]
-                ^ TD[1][(s[3] >> 16) as usize & 0xff]
-                ^ TD[2][(s[2] >> 8) as usize & 0xff]
-                ^ TD[3][s[1] as usize & 0xff]
-                ^ k[0],
-            TD[0][(s[1] >> 24) as usize]
-                ^ TD[1][(s[0] >> 16) as usize & 0xff]
-                ^ TD[2][(s[3] >> 8) as usize & 0xff]
-                ^ TD[3][s[2] as usize & 0xff]
-                ^ k[1],
-            TD[0][(s[2] >> 24) as usize]
-                ^ TD[1][(s[1] >> 16) as usize & 0xff]
-                ^ TD[2][(s[0] >> 8) as usize & 0xff]
-                ^ TD[3][s[3] as usize & 0xff]
-                ^ k[2],
-            TD[0][(s[3] >> 24) as usize]
-                ^ TD[1][(s[2] >> 16) as usize & 0xff]
-                ^ TD[2][(s[1] >> 8) as usize & 0xff]
-                ^ TD[3][s[0] as usize & 0xff]
-                ^ k[3],
-        ];
-    }
-    // Final round: InvSubBytes + InvShiftRows only.
-    let k: &[u32; 4] = rounds.next().expect("final key").try_into().expect("4 words");
-    for c in 0..4 {
-        let w = u32::from_be_bytes([
-            INV_SBOX[(s[c] >> 24) as usize],
-            INV_SBOX[(s[(c + 3) % 4] >> 16) as usize & 0xff],
-            INV_SBOX[(s[(c + 2) % 4] >> 8) as usize & 0xff],
-            INV_SBOX[s[(c + 1) % 4] as usize & 0xff],
-        ]) ^ k[c];
-        block[4 * c..4 * c + 4].copy_from_slice(&w.to_be_bytes());
-    }
-}
-
-/// Number of blocks processed together by the bulk entry points. Each
-/// round's table lookups are independent across blocks, so interleaving
-/// lets the loads of all lanes be in flight at once instead of
-/// serializing on the previous lookup's result.
-const LANES: usize = 4;
-
-/// Encrypts `N` blocks with interleaved rounds (see [`LANES`]).
-fn encrypt_batch<const N: usize>(ks: &KeySchedule, blocks: &mut [[u8; 16]; N]) {
-    let mut s = [[0u32; 4]; N];
-    for (j, block) in blocks.iter().enumerate() {
-        for c in 0..4 {
-            s[j][c] = u32::from_be_bytes(block[4 * c..4 * c + 4].try_into().expect("4 bytes"))
-                ^ ks.enc[c];
-        }
-    }
-    let mut rk = 4;
-    for _ in 1..ks.rounds {
-        for sj in s.iter_mut() {
-            *sj = [
-                TE[0][(sj[0] >> 24) as usize]
-                    ^ TE[1][(sj[1] >> 16) as usize & 0xff]
-                    ^ TE[2][(sj[2] >> 8) as usize & 0xff]
-                    ^ TE[3][sj[3] as usize & 0xff]
-                    ^ ks.enc[rk],
-                TE[0][(sj[1] >> 24) as usize]
-                    ^ TE[1][(sj[2] >> 16) as usize & 0xff]
-                    ^ TE[2][(sj[3] >> 8) as usize & 0xff]
-                    ^ TE[3][sj[0] as usize & 0xff]
-                    ^ ks.enc[rk + 1],
-                TE[0][(sj[2] >> 24) as usize]
-                    ^ TE[1][(sj[3] >> 16) as usize & 0xff]
-                    ^ TE[2][(sj[0] >> 8) as usize & 0xff]
-                    ^ TE[3][sj[1] as usize & 0xff]
-                    ^ ks.enc[rk + 2],
-                TE[0][(sj[3] >> 24) as usize]
-                    ^ TE[1][(sj[0] >> 16) as usize & 0xff]
-                    ^ TE[2][(sj[1] >> 8) as usize & 0xff]
-                    ^ TE[3][sj[2] as usize & 0xff]
-                    ^ ks.enc[rk + 3],
-            ];
-        }
-        rk += 4;
-    }
-    for (j, block) in blocks.iter_mut().enumerate() {
-        for c in 0..4 {
-            let w = u32::from_be_bytes([
-                SBOX[(s[j][c] >> 24) as usize],
-                SBOX[(s[j][(c + 1) % 4] >> 16) as usize & 0xff],
-                SBOX[(s[j][(c + 2) % 4] >> 8) as usize & 0xff],
-                SBOX[s[j][(c + 3) % 4] as usize & 0xff],
-            ]) ^ ks.enc[rk + c];
-            block[4 * c..4 * c + 4].copy_from_slice(&w.to_be_bytes());
-        }
-    }
-}
-
-/// Decrypts `N` blocks with interleaved rounds (see [`LANES`]).
-fn decrypt_batch<const N: usize>(ks: &KeySchedule, blocks: &mut [[u8; 16]; N]) {
-    let mut s = [[0u32; 4]; N];
-    for (j, block) in blocks.iter().enumerate() {
-        for c in 0..4 {
-            s[j][c] = u32::from_be_bytes(block[4 * c..4 * c + 4].try_into().expect("4 bytes"))
-                ^ ks.dec[c];
-        }
-    }
-    let mut rk = 4;
-    for _ in 1..ks.rounds {
-        for sj in s.iter_mut() {
-            *sj = [
-                TD[0][(sj[0] >> 24) as usize]
-                    ^ TD[1][(sj[3] >> 16) as usize & 0xff]
-                    ^ TD[2][(sj[2] >> 8) as usize & 0xff]
-                    ^ TD[3][sj[1] as usize & 0xff]
-                    ^ ks.dec[rk],
-                TD[0][(sj[1] >> 24) as usize]
-                    ^ TD[1][(sj[0] >> 16) as usize & 0xff]
-                    ^ TD[2][(sj[3] >> 8) as usize & 0xff]
-                    ^ TD[3][sj[2] as usize & 0xff]
-                    ^ ks.dec[rk + 1],
-                TD[0][(sj[2] >> 24) as usize]
-                    ^ TD[1][(sj[1] >> 16) as usize & 0xff]
-                    ^ TD[2][(sj[0] >> 8) as usize & 0xff]
-                    ^ TD[3][sj[3] as usize & 0xff]
-                    ^ ks.dec[rk + 2],
-                TD[0][(sj[3] >> 24) as usize]
-                    ^ TD[1][(sj[2] >> 16) as usize & 0xff]
-                    ^ TD[2][(sj[1] >> 8) as usize & 0xff]
-                    ^ TD[3][sj[0] as usize & 0xff]
-                    ^ ks.dec[rk + 3],
-            ];
-        }
-        rk += 4;
-    }
-    for (j, block) in blocks.iter_mut().enumerate() {
-        for c in 0..4 {
-            let w = u32::from_be_bytes([
-                INV_SBOX[(s[j][c] >> 24) as usize],
-                INV_SBOX[(s[j][(c + 3) % 4] >> 16) as usize & 0xff],
-                INV_SBOX[(s[j][(c + 2) % 4] >> 8) as usize & 0xff],
-                INV_SBOX[s[j][(c + 1) % 4] as usize & 0xff],
-            ]) ^ ks.dec[rk + c];
-            block[4 * c..4 * c + 4].copy_from_slice(&w.to_be_bytes());
-        }
-    }
-}
-
-/// Bulk encrypt: full [`LANES`]-wide groups interleaved, remainder one
-/// at a time.
-fn encrypt_all(ks: &KeySchedule, blocks: &mut [[u8; 16]]) {
-    let mut groups = blocks.chunks_exact_mut(LANES);
-    for group in &mut groups {
-        let group: &mut [[u8; 16]; LANES] = group.try_into().expect("exact chunk");
-        encrypt_batch(ks, group);
-    }
-    for block in groups.into_remainder() {
-        encrypt(ks, block);
-    }
-}
-
-/// Bulk decrypt: full [`LANES`]-wide groups interleaved, remainder one
-/// at a time.
-fn decrypt_all(ks: &KeySchedule, blocks: &mut [[u8; 16]]) {
-    let mut groups = blocks.chunks_exact_mut(LANES);
-    for group in &mut groups {
-        let group: &mut [[u8; 16]; LANES] = group.try_into().expect("exact chunk");
-        decrypt_batch(ks, group);
-    }
-    for block in groups.into_remainder() {
-        decrypt(ks, block);
-    }
-}
-
 /// The backend-resolved cipher engine: exactly one schedule is expanded
-/// per cipher, on the backend chosen at construction.
+/// per cipher, on the backend chosen at construction. The AES-NI
+/// schedule (both directions' round keys inline) is boxed so a cipher
+/// on the reference engine does not carry its size.
 #[derive(Clone)]
 enum Engine {
     Scalar(reference::ByteSchedule),
-    Table(KeySchedule),
     #[cfg(target_arch = "x86_64")]
-    AesNi(crate::aesni::Schedule),
+    AesNi(Box<crate::aesni::Schedule>),
 }
 
 impl Engine {
-    /// Expands `key` on `backend`, falling back from AES-NI to T-tables
-    /// when the hardware lacks it (see [`AesBackend::select`]).
+    /// Expands `key` on `backend`, falling back from AES-NI to the
+    /// reference engine when the hardware lacks it (see
+    /// [`AesBackend::select`]).
     fn build(key: &[u8], rounds: usize, backend: AesBackend) -> Engine {
         let backend = match backend {
-            AesBackend::AesNi if !AesBackend::aesni_supported() => AesBackend::Table,
+            AesBackend::AesNi if !AesBackend::aesni_supported() => AesBackend::Scalar,
             other => other,
         };
         record_backend_metric(backend);
         match backend {
             AesBackend::Scalar => Engine::Scalar(reference::ByteSchedule::expand(key, rounds)),
             #[cfg(target_arch = "x86_64")]
-            AesBackend::AesNi => Engine::AesNi(crate::aesni::Schedule::expand(key)),
+            AesBackend::AesNi => Engine::AesNi(Box::new(crate::aesni::Schedule::expand(key))),
             #[cfg(not(target_arch = "x86_64"))]
             AesBackend::AesNi => unreachable!("aesni unsupported off x86-64"),
-            AesBackend::Table => Engine::Table(KeySchedule::expand(key, rounds)),
         }
     }
 
     fn backend(&self) -> AesBackend {
         match self {
             Engine::Scalar(_) => AesBackend::Scalar,
-            Engine::Table(_) => AesBackend::Table,
             #[cfg(target_arch = "x86_64")]
             Engine::AesNi(_) => AesBackend::AesNi,
         }
@@ -578,7 +220,6 @@ impl Engine {
     fn encrypt_block(&self, block: &mut [u8; 16]) {
         match self {
             Engine::Scalar(ks) => reference::encrypt(ks, block),
-            Engine::Table(ks) => encrypt(ks, block),
             #[cfg(target_arch = "x86_64")]
             Engine::AesNi(ks) => ks.encrypt_block(block),
         }
@@ -588,7 +229,6 @@ impl Engine {
     fn decrypt_block(&self, block: &mut [u8; 16]) {
         match self {
             Engine::Scalar(ks) => reference::decrypt(ks, block),
-            Engine::Table(ks) => decrypt(ks, block),
             #[cfg(target_arch = "x86_64")]
             Engine::AesNi(ks) => ks.decrypt_block(block),
         }
@@ -601,7 +241,6 @@ impl Engine {
                     reference::encrypt(ks, block);
                 }
             }
-            Engine::Table(ks) => encrypt_all(ks, blocks),
             #[cfg(target_arch = "x86_64")]
             Engine::AesNi(ks) => ks.encrypt_blocks(blocks),
         }
@@ -614,7 +253,6 @@ impl Engine {
                     reference::decrypt(ks, block);
                 }
             }
-            Engine::Table(ks) => decrypt_all(ks, blocks),
             #[cfg(target_arch = "x86_64")]
             Engine::AesNi(ks) => ks.decrypt_blocks(blocks),
         }
@@ -644,8 +282,8 @@ impl Aes128 {
     }
 
     /// Constructs a cipher on an explicit backend (tests, benchmarks,
-    /// and the forced-backend matrix). AES-NI falls back to the T-table
-    /// path when the CPU lacks it.
+    /// and the forced-backend matrix). AES-NI falls back to the reference
+    /// engine when the CPU lacks it.
     pub fn with_backend(key: &[u8; 16], backend: AesBackend) -> Aes128 {
         Aes128 { engine: Engine::build(key, 10, backend) }
     }
@@ -738,58 +376,22 @@ impl BlockCipher for Aes256 {
     }
 }
 
-pub mod reference {
-    //! The original byte-oriented scalar Rijndael, retained verbatim as a
-    //! correctness oracle for the T-table fast path and as the "pre-fast-
-    //! path" baseline the `crypto_throughput` benchmark measures against.
-    //!
-    //! Nothing in the system uses these ciphers on a hot path; the test
-    //! suite pins [`Aes128`](super::Aes128)/[`Aes256`](super::Aes256)
-    //! against them on random keys and blocks.
+mod reference {
+    //! The byte-oriented FIPS-197 engine: the portable fallback on CPUs
+    //! without AES-NI, and the oracle the test suite pins AES-NI against.
 
-    use std::sync::OnceLock;
-
-    use super::SBOX;
-    use crate::BlockCipher;
-
-    /// Inverse S-box, derived from [`SBOX`] on first use — the original
-    /// code paid this `OnceLock` lookup on every `inv_sub_bytes` call, so
-    /// the baseline keeps it rather than borrowing the fast path's
-    /// precomputed `INV_SBOX` const.
-    fn inv_sbox() -> &'static [u8; 256] {
-        static INV: OnceLock<[u8; 256]> = OnceLock::new();
-        INV.get_or_init(|| {
-            let mut inv = [0u8; 256];
-            for (i, &s) in SBOX.iter().enumerate() {
-                inv[s as usize] = i as u8;
-            }
-            inv
-        })
-    }
-
-    #[inline]
-    fn xtime(b: u8) -> u8 {
-        super::xtime(b)
-    }
-
-    /// General GF(2^8) multiplication (decrypt-path MixColumns
-    /// coefficients are 9, 11, 13, 14).
-    #[inline]
-    fn gmul(a: u8, b: u8) -> u8 {
-        super::gmul(a, b)
-    }
+    use super::{gmul, xtime, INV_SBOX, SBOX};
 
     /// Round-key schedule shared by both key sizes: `round_keys[r]` is the
-    /// 16-byte round key for round `r`. Crate-visible so the `scalar`
-    /// backend of the dispatching ciphers can reuse it directly.
+    /// 16-byte round key for round `r`.
     #[derive(Clone)]
-    pub(crate) struct ByteSchedule {
+    pub(super) struct ByteSchedule {
         round_keys: Vec<[u8; 16]>,
     }
 
     impl ByteSchedule {
         /// Expands `key` (16 or 32 bytes) following FIPS-197 §5.2.
-        pub(crate) fn expand(key: &[u8], rounds: usize) -> ByteSchedule {
+        pub(super) fn expand(key: &[u8], rounds: usize) -> ByteSchedule {
             let nk = key.len() / 4;
             debug_assert!(nk == 4 || nk == 8);
             let total_words = 4 * (rounds + 1);
@@ -856,9 +458,8 @@ pub mod reference {
 
     #[inline]
     fn inv_sub_bytes(state: &mut [u8; 16]) {
-        let inv = inv_sbox();
         for b in state.iter_mut() {
-            *b = inv[*b as usize];
+            *b = INV_SBOX[*b as usize];
         }
     }
 
@@ -913,7 +514,7 @@ pub mod reference {
         }
     }
 
-    pub(crate) fn encrypt(schedule: &ByteSchedule, block: &mut [u8; 16]) {
+    pub(super) fn encrypt(schedule: &ByteSchedule, block: &mut [u8; 16]) {
         let rounds = schedule.round_keys.len() - 1;
         add_round_key(block, &schedule.round_keys[0]);
         for round in 1..rounds {
@@ -927,7 +528,7 @@ pub mod reference {
         add_round_key(block, &schedule.round_keys[rounds]);
     }
 
-    pub(crate) fn decrypt(schedule: &ByteSchedule, block: &mut [u8; 16]) {
+    pub(super) fn decrypt(schedule: &ByteSchedule, block: &mut [u8; 16]) {
         let rounds = schedule.round_keys.len() - 1;
         add_round_key(block, &schedule.round_keys[rounds]);
         for round in (1..rounds).rev() {
@@ -940,69 +541,10 @@ pub mod reference {
         inv_sub_bytes(block);
         add_round_key(block, &schedule.round_keys[0]);
     }
-
-    /// Byte-oriented AES-128 (the pre-fast-path implementation).
-    #[derive(Clone)]
-    pub struct ScalarAes128 {
-        schedule: ByteSchedule,
-    }
-
-    impl ScalarAes128 {
-        /// Constructs a scalar cipher from a 16-byte key.
-        pub fn new(key: &[u8; 16]) -> ScalarAes128 {
-            ScalarAes128 { schedule: ByteSchedule::expand(key, 10) }
-        }
-    }
-
-    impl std::fmt::Debug for ScalarAes128 {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("ScalarAes128").finish_non_exhaustive()
-        }
-    }
-
-    impl BlockCipher for ScalarAes128 {
-        fn encrypt_block(&self, block: &mut [u8; 16]) {
-            encrypt(&self.schedule, block);
-        }
-
-        fn decrypt_block(&self, block: &mut [u8; 16]) {
-            decrypt(&self.schedule, block);
-        }
-    }
-
-    /// Byte-oriented AES-256 (the pre-fast-path implementation).
-    #[derive(Clone)]
-    pub struct ScalarAes256 {
-        schedule: ByteSchedule,
-    }
-
-    impl ScalarAes256 {
-        /// Constructs a scalar cipher from a 32-byte key.
-        pub fn new(key: &[u8; 32]) -> ScalarAes256 {
-            ScalarAes256 { schedule: ByteSchedule::expand(key, 14) }
-        }
-    }
-
-    impl std::fmt::Debug for ScalarAes256 {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("ScalarAes256").finish_non_exhaustive()
-        }
-    }
-
-    impl BlockCipher for ScalarAes256 {
-        fn encrypt_block(&self, block: &mut [u8; 16]) {
-            encrypt(&self.schedule, block);
-        }
-
-        fn decrypt_block(&self, block: &mut [u8; 16]) {
-            decrypt(&self.schedule, block);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::reference::{ScalarAes128, ScalarAes256};
     use super::*;
     use crate::hex;
     use proptest::prelude::*;
@@ -1044,7 +586,7 @@ mod tests {
     #[test]
     fn fips197_kats_hold_for_reference_oracle() {
         let key = hex16("000102030405060708090a0b0c0d0e0f");
-        let cipher = ScalarAes128::new(&key);
+        let cipher = Aes128::with_backend(&key, AesBackend::Scalar);
         let mut block = hex16("00112233445566778899aabbccddeeff");
         cipher.encrypt_block(&mut block);
         assert_eq!(hex::encode(&block), "69c4e0d86a7b0430d8cdb78070b4c55a");
@@ -1057,7 +599,7 @@ mod tests {
         .unwrap()
         .try_into()
         .unwrap();
-        let cipher = ScalarAes256::new(&key);
+        let cipher = Aes256::with_backend(&key, AesBackend::Scalar);
         let mut block = hex16("00112233445566778899aabbccddeeff");
         cipher.encrypt_block(&mut block);
         assert_eq!(hex::encode(&block), "8ea2b7ca516745bfeafc49904b496089");
@@ -1156,14 +698,14 @@ mod tests {
     }
 
     proptest! {
-        /// The T-table fast path agrees with the byte-oriented reference
-        /// oracle on random keys and blocks, both directions, both key
-        /// sizes.
+        /// The dispatching cipher (AES-NI where the CPU has it) agrees
+        /// with the byte-oriented reference engine on random keys and
+        /// blocks, both directions, both key sizes.
         #[test]
-        fn ttable_matches_reference_aes128(key in proptest::array::uniform16(any::<u8>()),
-                                           block in proptest::array::uniform16(any::<u8>())) {
+        fn dispatch_matches_reference_aes128(key in proptest::array::uniform16(any::<u8>()),
+                                             block in proptest::array::uniform16(any::<u8>())) {
             let fast = Aes128::new(&key);
-            let oracle = ScalarAes128::new(&key);
+            let oracle = Aes128::with_backend(&key, AesBackend::Scalar);
             let mut a = block;
             let mut b = block;
             fast.encrypt_block(&mut a);
@@ -1182,10 +724,10 @@ mod tests {
         }
 
         #[test]
-        fn ttable_matches_reference_aes256(key in proptest::array::uniform32(any::<u8>()),
-                                           block in proptest::array::uniform16(any::<u8>())) {
+        fn dispatch_matches_reference_aes256(key in proptest::array::uniform32(any::<u8>()),
+                                             block in proptest::array::uniform16(any::<u8>())) {
             let fast = Aes256::new(&key);
-            let oracle = ScalarAes256::new(&key);
+            let oracle = Aes256::with_backend(&key, AesBackend::Scalar);
             let mut a = block;
             let mut b = block;
             fast.encrypt_block(&mut a);

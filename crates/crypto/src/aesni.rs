@@ -1,16 +1,16 @@
 //! Hardware AES via the x86-64 AES-NI instruction set.
 //!
 //! One `aesenc` retires a full AES round, so a 10-round AES-128 block
-//! costs ~10 cycles of latency — against the ~160 table loads of the
-//! software path — and the units are pipelined: independent blocks issue
+//! costs ~10 cycles of latency — against the byte-at-a-time rounds of
+//! the software engine — and the units are pipelined: independent blocks issue
 //! back-to-back. The bulk entry points therefore process eight blocks per
 //! loop iteration so the round instructions of all lanes are in flight at
 //! once, which is where the gigabytes-per-second throughput comes from.
 //!
 //! Key expansion uses `aeskeygenassist` (FIPS-197 §5.2 with the SubWord /
 //! RotWord / Rcon step done in hardware); decryption round keys apply
-//! `aesimc` (InvMixColumns) to the inner encryption round keys, exactly
-//! the equivalent inverse cipher the software paths use (§5.3.5).
+//! `aesimc` (InvMixColumns) to the inner encryption round keys: the
+//! equivalent inverse cipher of FIPS-197 §5.3.5.
 //!
 //! # Safety
 //!

@@ -26,17 +26,18 @@
 //!
 //! # Backends
 //!
-//! AES dispatches over three byte-identical backends, selected once per
+//! AES dispatches over two byte-identical backends, selected once per
 //! cipher construction ([`aes::AesBackend::select`]): hardware AES-NI
-//! when CPUID reports it, the software T-table path otherwise, and the
-//! byte-oriented scalar reference. `PE_CRYPTO_FORCE_BACKEND={scalar,
-//! table,aesni}` pins the choice for tests and benchmarks.
+//! when CPUID reports it, the byte-oriented FIPS-197 reference engine
+//! otherwise. `PE_CRYPTO_FORCE_BACKEND={scalar,aesni}` pins the choice
+//! for tests and benchmarks.
 //!
 //! # Security note
 //!
 //! These implementations favour clarity and correctness over side-channel
-//! resistance (table-based AES is not constant-time; AES-NI is). They are
-//! research reproductions, not production cryptography.
+//! resistance (the software AES engine's S-box lookups are not
+//! constant-time; AES-NI is). They are research reproductions, not
+//! production cryptography.
 //!
 //! # Example
 //!

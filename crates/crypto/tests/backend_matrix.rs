@@ -1,11 +1,11 @@
 //! Forced-backend matrix: every AES backend must be byte-identical.
 //!
-//! The dispatch layer (`AesBackend`) selects between the scalar reference,
-//! the T-table path, and hardware AES-NI once per cipher construction.
-//! These tests pin all three to the FIPS-197 known-answer vectors and to
-//! each other under proptest-generated keys and plaintexts, so CI on a
-//! non-AES-NI host still exercises the dispatch and fallback code while an
-//! AES-NI host proves the hardware schedule bit-for-bit.
+//! The dispatch layer (`AesBackend`) selects between the scalar reference
+//! and hardware AES-NI once per cipher construction. These tests pin both
+//! to the FIPS-197 known-answer vectors and to each other under
+//! proptest-generated keys and plaintexts, so CI on a non-AES-NI host
+//! still exercises the dispatch and fallback code while an AES-NI host
+//! proves the hardware schedule bit-for-bit.
 //!
 //! Backends are forced in-process via [`Aes128::with_backend`] /
 //! [`Aes256::with_backend`]; the environment-variable override
@@ -18,9 +18,9 @@ use proptest::prelude::*;
 
 /// Backends that can actually run on this host. AES-NI is included only
 /// when CPUID reports it; the dispatch layer would otherwise silently fall
-/// back to the T-table path and the "aesni" row would be a duplicate.
+/// back to the reference engine and the "aesni" row would be a duplicate.
 fn runnable_backends() -> Vec<AesBackend> {
-    let mut backends = vec![AesBackend::Scalar, AesBackend::Table];
+    let mut backends = vec![AesBackend::Scalar];
     if AesBackend::aesni_supported() {
         backends.push(AesBackend::AesNi);
     }
@@ -90,7 +90,7 @@ fn aesni_request_falls_back_when_unsupported() {
     let expected = if AesBackend::aesni_supported() {
         AesBackend::AesNi
     } else {
-        AesBackend::Table
+        AesBackend::Scalar
     };
     assert_eq!(cipher.backend(), expected);
 
@@ -103,18 +103,19 @@ fn aesni_request_falls_back_when_unsupported() {
 #[test]
 fn backend_parse_accepts_documented_names() {
     assert_eq!(AesBackend::parse("scalar"), Some(AesBackend::Scalar));
-    assert_eq!(AesBackend::parse("table"), Some(AesBackend::Table));
+    assert_eq!(AesBackend::parse(" scalar "), Some(AesBackend::Scalar));
     assert_eq!(AesBackend::parse("aesni"), Some(AesBackend::AesNi));
     assert_eq!(AesBackend::parse("AESNI"), Some(AesBackend::AesNi));
-    assert_eq!(AesBackend::parse(" table "), Some(AesBackend::Table));
     assert_eq!(AesBackend::parse("aes-ni"), Some(AesBackend::AesNi));
     assert_eq!(AesBackend::parse(""), None);
     assert_eq!(AesBackend::parse("gpu"), None);
+    // `table` names no engine: ignored like any other unknown value.
+    assert_eq!(AesBackend::parse("table"), None);
 }
 
 #[test]
 fn backend_names_round_trip_through_parse() {
-    for backend in [AesBackend::Scalar, AesBackend::Table, AesBackend::AesNi] {
+    for backend in [AesBackend::Scalar, AesBackend::AesNi] {
         assert_eq!(AesBackend::parse(backend.name()), Some(backend));
     }
 }
@@ -144,7 +145,7 @@ proptest! {
         }
     }
 
-    /// Same three-way equality for AES-256.
+    /// Same cross-backend equality for AES-256.
     #[test]
     fn aes256_backends_byte_identical(key in any::<[u8; 32]>(),
                                       plain in any::<[u8; 16]>()) {

@@ -7,7 +7,9 @@
 //! base concurrently, each rebases its delta over the other's so both
 //! converge. This module implements OT for the delta language, enabling
 //! the client-side merge that upgrades concurrent editing from "partial"
-//! to functional (see `DocsClient::save_merging`).
+//! to functional: a live session rebases its unsent edits over each
+//! change pushed from the change stream (see `pe_collab::LiveSession`
+//! and `DocsClient::apply_foreign_delta`).
 //!
 //! The convergence law (OT's TP1 property), verified by property tests:
 //!

@@ -1,11 +1,16 @@
 //! Collaborative editing under the extension (§VII-A): sharing via
 //! password works for passive readers; simultaneous writers conflict
-//! because the extension blanks the server's coordination hash.
+//! because the extension blanks the server's coordination hash. The
+//! second half shows live sessions converging anyway: each save is a
+//! delta against a known server version, and a save that lost the race
+//! folds the winner's change from the change stream and retries.
 //!
 //! Run with: `cargo run --example collaborative_editing`
 
 use std::sync::Arc;
+use std::time::Duration;
 
+use pe_collab::{LiveDocs, LiveSession, SharedChannel};
 use private_editing::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -60,36 +65,46 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n→ collaborative editing is *partial* under the extension, as §VII-A reports.");
     println!("  (The SPORC line of work addresses this with a collaboration-aware server.)");
 
-    // ── Beyond the paper: OT merge makes concurrent private writers
-    //    converge (DocsClient::save_merging). ─────────────────────────
-    println!("\n== with operational-transformation merge ==");
+    // ── Beyond the paper: live sessions make concurrent private
+    //    writers converge through the change stream. ───────────────
+    println!("\n== with live sessions and operational-transformation merge ==");
     let server = Arc::new(DocsServer::new());
+    let live = LiveDocs::new(Arc::clone(&server));
     let mut setup = DocsMediator::new(Arc::clone(&server), MediatorConfig::recb(8));
     let doc_id = setup.create_document("merge-pw")?;
     setup.save_full(&doc_id, "shared agenda. ")?;
 
-    let open_client = |seed: u64| {
+    // One mediator per editor, shared by its edit and poll paths so its
+    // ciphertext mirror follows both directions.
+    let join = |name: &str, seed: u64| {
         let mut m = DocsMediator::with_rng(
-            Arc::clone(&server),
+            Arc::clone(&live),
             MediatorConfig::recb(8),
             CtrDrbg::from_seed(seed),
         );
         m.register_password(&doc_id, "merge-pw");
-        DocsClient::open(PrivateChannel(m), &doc_id).expect("open")
+        let channel = SharedChannel::new(PrivateChannel(m));
+        let client = DocsClient::open(channel.clone(), &doc_id).expect("open");
+        LiveSession::start(client, channel, name, None).expect("join")
     };
-    let mut alice = open_client(1);
-    let mut bob = open_client(2);
-    alice.editor().insert(0, "[alice] ");
-    alice.save_merging(4);
+    let mut alice = join("alice", 1);
+    let mut bob = join("bob", 2);
+    alice.client().editor().insert(0, "[alice] ");
     let bob_len = bob.content().len();
-    bob.editor().insert(bob_len, "[bob]");
-    bob.save_merging(4);
+    bob.client().editor().insert(bob_len, "[bob]");
+    assert_eq!(alice.save(), SaveOutcome::Saved);
+    // Bob's save loses the race: it is rejected, folds Alice's change
+    // from the stream (rebasing his pending edit), and lands.
+    assert_eq!(bob.save(), SaveOutcome::Saved);
+    alice.step(Duration::ZERO)?;
+    assert_eq!(alice.content(), bob.content());
 
     let mut reader = DocsMediator::new(Arc::clone(&server), MediatorConfig::recb(8));
     reader.register_password(&doc_id, "merge-pw");
     let merged = reader.open_document(&doc_id)?;
     println!("converged encrypted document: {merged:?}");
     assert_eq!(merged, "[alice] shared agenda. [bob]");
+    assert_eq!(alice.content(), merged);
     assert!(!server.stored_content(&doc_id).unwrap().contains("alice"));
     println!("…and the provider still only ever saw ciphertext ✓");
     Ok(())
