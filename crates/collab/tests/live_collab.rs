@@ -2,6 +2,7 @@
 //! in-process, over real sockets with event-loop parking, and across a
 //! durable-store restart (the resume-from-`since` contract).
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -363,14 +364,18 @@ fn resume_from_since_survives_a_server_restart() {
     assert_eq!(outcome.applied, 0, "no duplicate delivery");
 }
 
-type PrivateInProc =
-    LiveSession<SharedChannel<PrivateChannel<Arc<LiveDocs>>>, SharedChannel<PrivateChannel<Arc<LiveDocs>>>>;
+type PrivateInProc<S = Arc<LiveDocs>> =
+    LiveSession<SharedChannel<PrivateChannel<S>>, SharedChannel<PrivateChannel<S>>>;
 
 /// Joins a *private* session: one mediator shared between the edit and
 /// poll paths (its ciphertext mirror must see both directions).
-fn join_private(live: &Arc<LiveDocs>, doc: &str, name: &str, seed: [u8; 16]) -> PrivateInProc {
-    let mut mediator =
-        DocsMediator::with_rng(Arc::clone(live), MediatorConfig::recb(8), CtrDrbg::new(seed));
+fn join_private<S: CloudService>(
+    server: S,
+    doc: &str,
+    name: &str,
+    seed: [u8; 16],
+) -> PrivateInProc<S> {
+    let mut mediator = DocsMediator::with_rng(server, MediatorConfig::recb(8), CtrDrbg::new(seed));
     mediator.register_password(doc, "collab-pw");
     let channel = SharedChannel::new(PrivateChannel(mediator));
     let client = DocsClient::open(channel.clone(), doc).unwrap();
@@ -378,12 +383,27 @@ fn join_private(live: &Arc<LiveDocs>, doc: &str, name: &str, seed: [u8; 16]) -> 
     LiveSession::start(client, channel, name, Some(sealer)).unwrap()
 }
 
+/// What a fresh key holder decrypts from the stored document.
+fn read_private(live: &Arc<LiveDocs>, doc: &str) -> String {
+    let mut reader = DocsMediator::new(Arc::clone(live), MediatorConfig::recb(8));
+    reader.register_password(doc, "collab-pw");
+    reader.open_document(doc).unwrap()
+}
+
+/// The provider stores ciphertext only: none of `words` appears in it.
+fn assert_stored_without(live: &LiveDocs, doc: &str, words: &[&str]) {
+    let stored = live.docs().stored_content(doc).unwrap();
+    for word in words {
+        assert!(!stored.contains(word), "{word:?} stored in the clear");
+    }
+}
+
 #[test]
 fn private_sessions_converge_and_the_server_sees_only_ciphertext() {
     let live = LiveDocs::new(Arc::new(DocsServer::new()));
     let doc = create_doc(&*live);
-    let mut alice = join_private(&live, &doc, "alice", [1; 16]);
-    let mut bob = join_private(&live, &doc, "bob", [2; 16]);
+    let mut alice = join_private(Arc::clone(&live), &doc, "alice", [1; 16]);
+    let mut bob = join_private(Arc::clone(&live), &doc, "bob", [2; 16]);
 
     alice.client().editor().insert(0, "attack at dawn");
     assert_eq!(alice.save(), SaveOutcome::Saved);
@@ -408,9 +428,7 @@ fn private_sessions_converge_and_the_server_sees_only_ciphertext() {
     assert_eq!(alice.content(), "(alice) attack at dawn (bob)");
 
     // The provider stored and fanned out only ciphertext.
-    let stored = live.docs().stored_content(&doc).unwrap();
-    assert!(!stored.contains("attack"));
-    assert!(!stored.contains("alice"));
+    assert_stored_without(&live, &doc, &["attack", "alice"]);
 
     // Sealed presence round-trips between key holders.
     alice.set_cursor(3);
@@ -420,6 +438,102 @@ fn private_sessions_converge_and_the_server_sees_only_ciphertext() {
     assert_eq!(peers.len(), 1);
     assert_eq!(peers[0].editor, "alice");
     assert_eq!(peers[0].cursor, 3);
+}
+
+#[test]
+fn private_writers_converge_when_the_second_save_loses_the_race() {
+    let live = LiveDocs::new(Arc::new(DocsServer::new()));
+    let doc = create_doc(&*live);
+    let mut alice = join_private(Arc::clone(&live), &doc, "alice", [1; 16]);
+    let mut bob = join_private(Arc::clone(&live), &doc, "bob", [2; 16]);
+    alice.client().editor().insert(0, "attack at dawn");
+    assert_eq!(alice.save(), SaveOutcome::Saved);
+    bob.step(Duration::ZERO).unwrap();
+
+    // Both edit; Alice saves first and Bob saves without polling. His
+    // save is rejected, his mediator resyncs through `/Doc/load`, his
+    // pending edit is rebased over Alice's, and the retry lands.
+    alice.client().editor().insert(0, "(alice) ");
+    let len = bob.content().len();
+    bob.client().editor().insert(len, " (bob)");
+    assert_eq!(alice.save(), SaveOutcome::Saved);
+    assert_eq!(bob.save(), SaveOutcome::Saved);
+    alice.step(Duration::ZERO).unwrap();
+
+    let expected = "(alice) attack at dawn (bob)";
+    assert_eq!(alice.content(), expected);
+    assert_eq!(bob.content(), expected);
+    assert_eq!(read_private(&live, &doc), expected);
+    assert_stored_without(&live, &doc, &["attack", "dawn", "(alice)", "(bob)"]);
+}
+
+/// A private editor's transport for the lost-mirror race: fails the next
+/// save with a 503 before it reaches the server, then runs a hook once
+/// the next poll has been answered — after the zero-wait poll the
+/// session makes following the failure, before the save it retries.
+struct FailedSaveThenHook {
+    live: Arc<LiveDocs>,
+    fail_next_save: AtomicBool,
+    after_next_poll: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+}
+
+impl CloudService for FailedSaveThenHook {
+    fn handle(&self, request: &Request) -> Response {
+        let save = request.path == "/Doc" && request.query_param("cmd").is_none();
+        if save && self.fail_next_save.swap(false, Ordering::SeqCst) {
+            return Response::error(503, "injected fault");
+        }
+        let response = self.live.handle(request);
+        if request.path == "/Doc/changes" {
+            if let Some(hook) = self.after_next_poll.lock().unwrap().take() {
+                hook();
+            }
+        }
+        response
+    }
+
+    fn name(&self) -> &'static str {
+        "failed-save-then-hook"
+    }
+}
+
+#[test]
+fn a_private_retry_after_a_failed_save_keeps_a_collaborators_edit() {
+    let live = LiveDocs::new(Arc::new(DocsServer::new()));
+    let doc = create_doc(&*live);
+    let transport = Arc::new(FailedSaveThenHook {
+        live: Arc::clone(&live),
+        fail_next_save: AtomicBool::new(false),
+        after_next_poll: Mutex::new(None),
+    });
+    let mut alice = join_private(Arc::clone(&transport), &doc, "alice", [1; 16]);
+    let bob = Arc::new(Mutex::new(join_private(Arc::clone(&live), &doc, "bob", [2; 16])));
+    alice.client().editor().insert(0, "attack at dawn");
+    assert_eq!(alice.save(), SaveOutcome::Saved);
+    bob.lock().unwrap().step(Duration::ZERO).unwrap();
+
+    // Alice appends and her save fails with a 503, which drops her
+    // mediator's mirror. Her session's poll finds nothing new; Bob's
+    // prepend lands right after it, before her retry.
+    let len = alice.content().len();
+    alice.client().editor().insert(len, " (alice)");
+    bob.lock().unwrap().client().editor().insert(0, "(bob) ");
+    transport.fail_next_save.store(true, Ordering::SeqCst);
+    let collaborator = Arc::clone(&bob);
+    *transport.after_next_poll.lock().unwrap() = Some(Box::new(move || {
+        assert_eq!(collaborator.lock().unwrap().save(), SaveOutcome::Saved);
+    }));
+    assert_eq!(alice.save(), SaveOutcome::Saved);
+    assert!(transport.after_next_poll.lock().unwrap().is_none(), "Bob saved mid-retry");
+    let mut bob = bob.lock().unwrap();
+    bob.step(Duration::ZERO).unwrap();
+    alice.step(Duration::ZERO).unwrap();
+
+    let expected = "(bob) attack at dawn (alice)";
+    assert_eq!(alice.content(), expected);
+    assert_eq!(bob.content(), expected);
+    assert_eq!(read_private(&live, &doc), expected);
+    assert_stored_without(&live, &doc, &["attack", "dawn", "(alice)", "(bob)"]);
 }
 
 #[test]

@@ -679,7 +679,8 @@ impl<S: CloudService> DocsMediator<S> {
             self.full_save(&doc_id, request, &contents)
         } else if let Some(delta_text) = form::first_value(&pairs, "delta") {
             let delta = Delta::parse(delta_text)?;
-            self.delta_save(&doc_id, request, &delta)
+            let base = form::first_value(&pairs, "baseVersion").and_then(|v| v.parse().ok());
+            self.delta_save(&doc_id, request, &delta, base)
         } else {
             // Unknown save shape: drop it (Fig. 2's `dropRequest`).
             Ok(self.blocked())
@@ -735,11 +736,16 @@ impl<S: CloudService> DocsMediator<S> {
         Ok(self.rewrite_ack(response))
     }
 
+    /// Encrypts a plaintext delta save. `client_base` is the client's
+    /// `baseVersion`, the server version its delta was computed against.
+    /// When the client sends one, the mirror the delta is encrypted
+    /// against must be at that version.
     fn delta_save(
         &mut self,
         doc_id: &str,
         request: &Request,
         delta: &Delta,
+        client_base: Option<u64>,
     ) -> Result<Mediated, ExtensionError> {
         if !self.docs.get(doc_id).map(|s| s.synced).unwrap_or(false) {
             // No synced ciphertext mirror. Ask the server what it holds:
@@ -750,7 +756,11 @@ impl<S: CloudService> DocsMediator<S> {
             // incremental path instead; only a genuinely empty document
             // takes the full-save route (protocol: the first save of a
             // fresh document is always a full save).
-            match self.load_server_state(doc_id)? {
+            let loaded = self.load_server_state(doc_id)?;
+            if client_base.is_some() && loaded.as_ref().and_then(|(_, v)| *v) != client_base {
+                return Ok(self.stale_base(doc_id));
+            }
+            match loaded {
                 Some((content, version)) if !content.is_empty() => {
                     self.docs.remove(doc_id);
                     self.ensure_state(doc_id, Some(&content))?;
@@ -773,6 +783,9 @@ impl<S: CloudService> DocsMediator<S> {
                     return self.full_save(doc_id, request, &updated);
                 }
             }
+        }
+        if client_base.is_some() && self.docs[doc_id].version != client_base {
+            return Ok(self.stale_base(doc_id));
         }
         let state = self.docs.get_mut(doc_id).expect("synced implies state");
         let base_version = state.version;
@@ -828,6 +841,21 @@ impl<S: CloudService> DocsMediator<S> {
             self.docs.remove(doc_id);
         }
         Ok(self.rewrite_ack(response))
+    }
+
+    /// Answers a delta save whose `baseVersion` is not the version of the
+    /// copy it would be encrypted against: sent, it would land the edit
+    /// in the wrong place under a precondition the server accepts. The
+    /// save is refused with a 409 and never sent, and the mirror is
+    /// dropped, so the client's resync through the change stream
+    /// rebuilds it at the version the client folds to.
+    fn stale_base(&mut self, doc_id: &str) -> Mediated {
+        self.docs.remove(doc_id);
+        Mediated {
+            response: Response::error(409, "delta base is not the server copy's version"),
+            outcome: Outcome::Blocked,
+            suggested_delay: Duration::ZERO,
+        }
     }
 
     /// Fetches the authoritative server copy: `Some((content, version))`

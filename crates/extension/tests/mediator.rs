@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use pe_cloud::docs::DocsServer;
 use pe_cloud::{CloudService, Request};
-use pe_crypto::CtrDrbg;
+use pe_crypto::{form, CtrDrbg};
 use pe_delta::Delta;
 use pe_extension::{DocsMediator, MediatorConfig, Outcome};
 
@@ -257,6 +257,39 @@ fn delta_before_full_save_falls_back_to_full_save() {
     mediator.save_delta(&doc_id, &delta.build()).unwrap();
     assert_eq!(mediator.plaintext(&doc_id), Some("first words"));
     assert_server_never_sees(&server, &doc_id, "first words");
+}
+
+/// A delta save's `baseVersion` names the server version the client
+/// computed it against. Encrypted against a copy at any other version
+/// it would land in the wrong place, so the mediator refuses it unsent.
+#[test]
+fn a_delta_on_another_base_is_refused_unsent() {
+    let (server, mut mediator) = mediator(MediatorConfig::recb(8), 22);
+    let doc_id = mediator.create_document("pw").unwrap();
+    mediator.save_full(&doc_id, "base text").unwrap();
+    let mut prepend = Delta::builder();
+    prepend.insert("B");
+    mediator.save_delta(&doc_id, &prepend.build()).unwrap();
+    assert_eq!(server.stored_version(&doc_id), Some(2));
+
+    let mut append = Delta::builder();
+    append.retain(10).insert(" +a");
+    let append = append.build().serialize();
+    let save_on = |base: &str| {
+        let body = form::encode_pairs(&[("delta", append.as_str()), ("baseVersion", base)]);
+        Request::post("/Doc", &[("docID", doc_id.as_str())], body)
+    };
+    // Against the mirror (at version 2), then against the reloaded copy
+    // once the refusal has dropped the mirror.
+    for _ in 0..2 {
+        let mediated = mediator.intercept(&save_on("1")).unwrap();
+        assert_eq!(mediated.response.status, 409);
+        assert_eq!(mediated.outcome, Outcome::Blocked);
+        assert_eq!(mediator.plaintext(&doc_id), None, "the mirror is dropped");
+        assert_eq!(server.stored_version(&doc_id), Some(2), "nothing was sent");
+    }
+    assert!(mediator.intercept(&save_on("2")).unwrap().response.is_success());
+    assert_eq!(mediator.plaintext(&doc_id), Some("Bbase text +a"));
 }
 
 #[test]
