@@ -826,8 +826,8 @@ fn doc_session<S: CloudService>(
             let count = ops.len();
             for op in &ops {
                 let delta = live_cli::op_delta(&content, op)?;
-                content = delta
-                    .apply(&content)
+                delta
+                    .apply_in_place(&mut content)
                     .map_err(|e| CliError::Usage(format!("op does not fit document: {e}")))?;
                 mediator.save_delta(doc, &delta)?;
             }
@@ -1280,31 +1280,32 @@ mod live_cli {
         Ok(ops)
     }
 
-    /// Builds the char-based [`Delta`] an op denotes against `content`
-    /// (ops use byte offsets, deltas count characters).
+    /// Builds the byte-counted [`Delta`] an op denotes against `content`,
+    /// as the mediator and [`Delta::apply_in_place`] count. Each offset
+    /// must sit on a character boundary of `content`.
     pub(crate) fn op_delta(content: &str, op: &EditOp) -> Result<Delta, CliError> {
-        let chars_at = |at: usize| {
+        let boundary = |at: usize| {
             content
-                .get(..at)
-                .map(|prefix| prefix.chars().count())
+                .is_char_boundary(at)
+                .then_some(at)
                 .ok_or_else(|| CliError::Usage(format!("offset {at} is out of range")))
         };
         let mut builder = Delta::builder();
         match op {
             EditOp::Insert { at, text } => {
-                builder.retain(chars_at(*at)?).insert(text);
+                builder.retain(boundary(*at)?).insert(text);
             }
             EditOp::Delete { at, len } => {
-                let span = content
-                    .get(*at..*at + *len)
-                    .map(|s| s.chars().count())
+                let end = at
+                    .checked_add(*len)
+                    .filter(|&end| content.get(*at..end).is_some())
                     .ok_or_else(|| {
                         CliError::Usage(format!("range {at}+{len} is out of range"))
                     })?;
-                builder.retain(chars_at(*at)?).delete(span);
+                builder.retain(*at).delete(end - at);
             }
             EditOp::Append { text } => {
-                builder.retain(content.chars().count()).insert(text);
+                builder.retain(content.len()).insert(text);
             }
         }
         Ok(builder.build())

@@ -160,3 +160,17 @@ fn missing_document_errors_cleanly() {
     assert_eq!(pedit(&store, &["list"]).unwrap(), "(no documents)");
     assert_eq!(pedit(&store, &["raw", "--doc", "doc99"]).unwrap(), "(no such document)");
 }
+
+#[test]
+fn edit_ops_count_bytes_on_multi_byte_text() {
+    let store = TempStore::new("edit-bytes");
+    let created = pedit(&store, &["create", "--password", "pw"]).unwrap();
+    let doc = created.strip_prefix("created ").unwrap().to_string();
+    pedit(&store, &["save", "--doc", &doc, "--password", "pw", "--text", "éééé abc"]).unwrap();
+    let printed =
+        pedit(&store, &["edit", "--doc", &doc, "--password", "pw", "--ops", "a:!"]).unwrap();
+    assert!(printed.ends_with("éééé abc!"), "{printed}");
+    // What the command printed is what it stored.
+    let shown = pedit(&store, &["show", "--doc", &doc, "--password", "pw"]).unwrap();
+    assert_eq!(shown, "éééé abc!");
+}

@@ -66,7 +66,9 @@ pub enum SaveOutcome {
 /// `contentFromServerHash` is compared against the hash of the client's
 /// own content (a `0` hash — what the extension substitutes — is accepted
 /// silently, which is exactly why single-user sessions work and
-/// concurrent sessions conflict).
+/// concurrent sessions conflict). A save sent with the `baseVersion`
+/// precondition is acknowledged with its version and no hash: the
+/// server accepted it on exactly the content it was computed against.
 ///
 /// The editor's pending delta is the only record of edits the server
 /// has not accepted: a save consumes it only when the server accepts
@@ -323,12 +325,16 @@ impl<C: Channel> DocsClient<C> {
         self.sent_full_save = true;
         let body = response.body_text().unwrap_or("");
         let pairs = form::parse_pairs(body).unwrap_or_default();
-        let ack_hash = form::first_value(&pairs, "contentFromServerHash").unwrap_or("");
+        let ack_hash = form::first_value(&pairs, "contentFromServerHash");
         if let Some(version) = form::first_value(&pairs, "version").and_then(|v| v.parse().ok())
         {
             self.last_ack_version = Some(version);
         }
-        if ack_hash == "0" || ack_hash == self.local_hash() {
+        // A save sent with `baseVersion` landed exactly on the version it
+        // was computed against, so its Ack carries no hash to compare.
+        let based = self.base_version.is_some() && ack_hash.is_none();
+        let ack_hash = ack_hash.unwrap_or("");
+        if based || ack_hash == "0" || ack_hash == self.local_hash() {
             self.synced = self.editor.content().to_string();
             if self.base_version.is_some() {
                 self.base_version = self.last_ack_version;

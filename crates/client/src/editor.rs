@@ -94,22 +94,26 @@ impl Editor {
     }
 
     /// Applies an arbitrary delta (relative to the current content) and
-    /// adds it to the pending update.
+    /// adds it to the pending update. The buffer is edited in place and
+    /// the undo entry copies only the deleted bytes, so an edit costs its
+    /// own size plus a move of the text after it.
     ///
     /// # Panics
     ///
-    /// Panics if the delta does not fit the current content.
+    /// Panics if the delta does not fit the current content or an edit
+    /// splits a character.
     pub fn apply(&mut self, delta: Delta) {
-        let inverse = delta
-            .invert(&self.content)
-            .expect("editor edits are validated against the buffer");
-        let updated = delta
-            .apply_bytes(self.content.as_bytes())
-            .expect("editor edits are validated against the buffer");
-        self.content = String::from_utf8(updated).expect("edits preserve UTF-8");
+        let inverse = self.edit(&delta).expect("editor edits are validated against the buffer");
         self.pending = self.pending.compose(&delta);
         self.undo.push(inverse);
         self.redo.clear();
+    }
+
+    /// Applies `delta` to the buffer in place, returning its inverse.
+    fn edit(&mut self, delta: &Delta) -> Result<Delta, pe_delta::DeltaError> {
+        let inverse = delta.invert(&self.content)?;
+        delta.apply_in_place(&mut self.content)?;
+        Ok(inverse)
     }
 
     /// Undoes the most recent edit, if any, returning whether an edit was
@@ -119,13 +123,8 @@ impl Editor {
         let Some(inverse) = self.undo.pop() else {
             return false;
         };
-        let redo = inverse
-            .invert(&self.content)
-            .expect("inverses always fit the buffer they were made for");
-        let updated = inverse
-            .apply_bytes(self.content.as_bytes())
-            .expect("inverses always fit the buffer they were made for");
-        self.content = String::from_utf8(updated).expect("edits preserve UTF-8");
+        let redo =
+            self.edit(&inverse).expect("inverses always fit the buffer they were made for");
         self.pending = self.pending.compose(&inverse);
         self.redo.push(redo);
         true
@@ -136,10 +135,7 @@ impl Editor {
         let Some(delta) = self.redo.pop() else {
             return false;
         };
-        let inverse = delta.invert(&self.content).expect("redo fits the buffer");
-        let updated =
-            delta.apply_bytes(self.content.as_bytes()).expect("redo fits the buffer");
-        self.content = String::from_utf8(updated).expect("edits preserve UTF-8");
+        let inverse = self.edit(&delta).expect("redo fits the buffer");
         self.pending = self.pending.compose(&delta);
         self.undo.push(inverse);
         true
@@ -280,6 +276,47 @@ mod tests {
         editor.insert(1, "y");
         editor.reset("fresh");
         assert!(!editor.undo());
+    }
+
+    #[test]
+    fn multi_byte_text_counts_bytes() {
+        let mut editor = Editor::new("héé");
+        editor.insert(5, "y");
+        assert_eq!(editor.content(), "hééy");
+        editor.replace(1, 2, "ö");
+        editor.insert(0, "日");
+        assert_eq!(editor.content(), "日höéy");
+        assert_eq!(
+            editor.pending().apply_bytes("héé".as_bytes()).unwrap(),
+            "日höéy".as_bytes()
+        );
+    }
+
+    #[test]
+    fn undo_and_redo_on_multi_byte_text() {
+        let mut editor = Editor::new("日本語");
+        editor.take_pending();
+        editor.replace(3, 3, "本当");
+        editor.insert(0, "é");
+        editor.delete(editor.len() - 3, 3);
+        assert_eq!(editor.content(), "é日本当");
+        assert!(editor.undo());
+        assert!(editor.undo());
+        assert_eq!(editor.content(), "日本当語");
+        assert!(editor.redo());
+        assert_eq!(editor.content(), "é日本当語");
+        assert!(editor.undo());
+        assert!(editor.undo());
+        assert_eq!(editor.content(), "日本語");
+        // Every undo and redo flowed into the pending update.
+        let pending = editor.take_pending();
+        assert_eq!(pending.apply_bytes("日本語".as_bytes()).unwrap(), "日本語".as_bytes());
+    }
+
+    #[test]
+    #[should_panic(expected = "validated against the buffer")]
+    fn an_edit_that_splits_a_character_panics() {
+        Editor::new("héé").insert(2, "y");
     }
 
     #[test]

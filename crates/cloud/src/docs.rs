@@ -8,7 +8,10 @@
 //! * `POST /Doc?docID=…` with a form body — save: the `docContents` field
 //!   replaces the whole document (the first save of every session), the
 //!   `delta` field applies an incremental update. The server answers with
-//!   an **Ack** carrying `contentFromServer` and `contentFromServerHash`.
+//!   an **Ack** carrying `contentFromServer`, `contentFromServerHash` and
+//!   the save's `version`; a delta save that carries the `baseVersion`
+//!   precondition gets no hash, since its client learns the outcome from
+//!   the version and nothing compares it.
 //! * `GET /Doc/load?docID=…` — passive reader refresh (collaboration).
 //!
 //! Server-side *features* operate on the stored content — which is exactly
@@ -136,6 +139,11 @@ fn store_error(e: &StoreError) -> Response {
     }
 }
 
+/// [`DocsServer::content_hash`] of stored bytes.
+fn hash_bytes(content: &[u8]) -> String {
+    hex::encode(&Sha256::digest(content)[..8])
+}
+
 impl DocsServer {
     /// Creates a server with no documents, backed by an in-memory store.
     pub fn new() -> DocsServer {
@@ -182,7 +190,7 @@ impl DocsServer {
     /// privacy extension is active, which is what makes collaborative
     /// editing only partially functional (§VII-A).
     pub fn content_hash(content: &str) -> String {
-        hex::encode(&Sha256::digest(content.as_bytes())[..8])
+        hash_bytes(content.as_bytes())
     }
 
     /// Direct (test/bench) access to a document's stored content.
@@ -339,7 +347,10 @@ impl DocsServer {
         if !self.store.contains(doc_id) {
             return Response::error(404, "no such document");
         }
-        let (new_content, version, change) =
+        // `hash` is the Ack's `contentFromServerHash`, computed only for
+        // the classic saves whose clients compare it (§IV-A); a save that
+        // carries `baseVersion` learns the outcome from `version`.
+        let (hash, version, change) =
             if let Some(contents) = form::first_value(&pairs, "docContents") {
                 if contents.len() > MAX_DOC_BYTES {
                     return Response::error(413, "document exceeds 500kB limit");
@@ -348,7 +359,8 @@ impl DocsServer {
                     Ok(v) => v,
                     Err(e) => return store_error(&e),
                 };
-                (contents.to_string(), version, SaveChange::Full(contents.to_string()))
+                let hash = Self::content_hash(contents);
+                (Some(hash), version, SaveChange::Full(contents.to_string()))
             } else if let Some(delta_text) = form::first_value(&pairs, "delta") {
                 let Ok(delta) = Delta::parse(delta_text) else {
                     return Response::error(400, "malformed delta");
@@ -367,7 +379,7 @@ impl DocsServer {
                 };
                 match self.store.apply_delta(doc_id, &delta, limits) {
                     Ok(state) => (
-                        String::from_utf8_lossy(&state.content).into_owned(),
+                        base_version.is_none().then(|| hash_bytes(&state.content)),
                         state.version,
                         SaveChange::Delta(delta_text.to_string()),
                     ),
@@ -382,12 +394,13 @@ impl DocsServer {
         // field stays empty on ordinary saves (the client already holds
         // the content); the hash is what collaboration coordination uses.
         // `version` is the change-stream sequence this save landed at.
-        let hash = Self::content_hash(&new_content);
-        Response::ok(form::encode_pairs(&[
-            ("contentFromServer", ""),
-            ("contentFromServerHash", hash.as_str()),
-            ("version", version.to_string().as_str()),
-        ]))
+        let version = version.to_string();
+        let mut fields = vec![("contentFromServer", "")];
+        if let Some(hash) = hash.as_deref() {
+            fields.push(("contentFromServerHash", hash));
+        }
+        fields.push(("version", version.as_str()));
+        Response::ok(form::encode_pairs(&fields))
     }
 
     fn load(&self, doc_id: &str, caller_hash: Option<&str>) -> Response {
@@ -572,6 +585,25 @@ mod tests {
         assert_eq!(
             form::first_value(&pairs, "contentFromServerHash"),
             Some(DocsServer::content_hash("content").as_str())
+        );
+    }
+
+    #[test]
+    fn a_base_version_save_is_acked_with_its_version_and_no_hash() {
+        let server = DocsServer::new();
+        let doc = create_doc(&server);
+        save_contents(&server, &doc, "content");
+        let body = form::encode_pairs(&[("delta", "=7\t+!"), ("baseVersion", "1")]);
+        let resp = server.handle(&Request::post("/Doc", &[("docID", &doc)], body));
+        let pairs = form::parse_pairs(resp.body_text().unwrap()).unwrap();
+        assert_eq!(form::first_value(&pairs, "version"), Some("2"));
+        assert_eq!(form::first_value(&pairs, "contentFromServerHash"), None);
+        // A classic delta save still carries the hash its client compares.
+        let resp = save_delta(&server, &doc, "=8\t+?");
+        let pairs = form::parse_pairs(resp.body_text().unwrap()).unwrap();
+        assert_eq!(
+            form::first_value(&pairs, "contentFromServerHash"),
+            Some(DocsServer::content_hash("content!?").as_str())
         );
     }
 

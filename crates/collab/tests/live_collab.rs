@@ -186,6 +186,39 @@ fn a_live_save_sends_only_the_save_unless_it_conflicts() {
     assert_eq!(alice.content(), "bob first alice");
 }
 
+/// A channel that keeps the body of every save's answer.
+#[derive(Clone)]
+struct Acks(Arc<LiveDocs>, Arc<Mutex<Vec<String>>>);
+
+impl Channel for Acks {
+    fn exchange(&mut self, request: &Request) -> Response {
+        let response = self.0.handle(request);
+        if request.path == "/Doc" && request.query_param("cmd").is_none() {
+            self.1.lock().unwrap().push(response.body_text().unwrap_or("").to_string());
+        }
+        response
+    }
+}
+
+#[test]
+fn a_plaintext_live_save_is_saved_without_an_ack_hash() {
+    let live = LiveDocs::new(Arc::new(DocsServer::new()));
+    let doc = create_doc(&*live);
+    let acks = Acks(Arc::clone(&live), Arc::default());
+    let client = DocsClient::open(acks.clone(), &doc).unwrap();
+    let mut alice = LiveSession::start(client, acks.clone(), "alice", None).unwrap();
+    for text in ["first", " second"] {
+        let len = alice.content().len();
+        alice.client().editor().insert(len, text);
+        assert_eq!(alice.save(), SaveOutcome::Saved);
+        let ack = acks.1.lock().unwrap().pop().unwrap();
+        let pairs = form::parse_pairs(&ack).unwrap();
+        assert!(form::first_value(&pairs, "version").is_some(), "{ack}");
+        assert_eq!(form::first_value(&pairs, "contentFromServerHash"), None, "{ack}");
+    }
+    assert_eq!(live.docs().stored_content(&doc).unwrap(), "first second");
+}
+
 #[test]
 fn flaky_transport_loses_no_live_edit() {
     let live = LiveDocs::new(Arc::new(DocsServer::new()));

@@ -160,7 +160,8 @@ mod tests {
         assert_eq!(patches[0].start_record, 0);
         // All records replaced: patch size ~ document size.
         assert_eq!(patches[0].removed, split_records(&before).unwrap().len());
-        let after = apply_patches(&before, d.layout(), &patches).unwrap();
+        let mut after = before;
+        apply_patches(&mut after, d.layout(), &patches).unwrap();
         assert_eq!(after, d.serialize());
     }
 

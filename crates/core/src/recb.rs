@@ -532,7 +532,8 @@ mod tests {
         let before = d.serialize();
         let patches = d.apply(&EditOp::insert(5, b"XYZ")).unwrap();
         assert_eq!(d.decrypt().unwrap(), b"abcdeXYZfghij");
-        let server_side = apply_patches(&before, d.layout(), &patches).unwrap();
+        let mut server_side = before;
+        apply_patches(&mut server_side, d.layout(), &patches).unwrap();
         assert_eq!(server_side, d.serialize(), "patches must reproduce serialization");
     }
 
@@ -550,7 +551,7 @@ mod tests {
         ];
         for op in &script {
             let patches = d.apply(op).unwrap();
-            server = apply_patches(&server, d.layout(), &patches).unwrap();
+            apply_patches(&mut server, d.layout(), &patches).unwrap();
             assert_eq!(server, d.serialize());
         }
         // And the final document still decrypts to the model plaintext.
@@ -644,7 +645,7 @@ mod tests {
             EditOp::insert(0, b"head: "),
         ] {
             let patches = avl_doc.apply(&op).unwrap();
-            server = apply_patches(&server, avl_doc.layout(), &patches).unwrap();
+            apply_patches(&mut server, avl_doc.layout(), &patches).unwrap();
             assert_eq!(server, avl_doc.serialize());
         }
         // The wire format is backing-agnostic: a skip-list document opens

@@ -862,7 +862,7 @@ mod tests {
         ];
         for op in &script {
             let patches = d.apply(op).unwrap();
-            server = apply_patches(&server, d.layout(), &patches).unwrap();
+            apply_patches(&mut server, d.layout(), &patches).unwrap();
             assert_eq!(server, d.serialize());
             match op {
                 EditOp::Insert { at, text } => {
@@ -887,7 +887,7 @@ mod tests {
             d.apply(&EditOp::delete(0, 9)).unwrap(),
             d.apply(&EditOp::insert(0, b"reborn")).unwrap(),
         ] {
-            server = apply_patches(&server, d.layout(), &patches).unwrap();
+            apply_patches(&mut server, d.layout(), &patches).unwrap();
         }
         assert_eq!(server, d.serialize());
         assert_eq!(d.decrypt().unwrap(), b"reborn");

@@ -201,7 +201,7 @@ impl<D: IncrementalCipherDoc> DeltaTransformer<D> {
             };
             let patches = self.doc.apply(&edit)?;
             let cdelta = patches_to_delta(&patches, layout);
-            self.ciphertext = wire::apply_patches(&self.ciphertext, layout, &patches)?;
+            wire::apply_patches(&mut self.ciphertext, layout, &patches)?;
             combined = combined.compose(&cdelta);
         }
         debug_assert_eq!(self.ciphertext, self.doc.serialize());
@@ -231,9 +231,17 @@ impl<D: IncrementalCipherDoc> DeltaTransformer<D> {
         for record in patches.iter_mut().flat_map(|p| p.inserted.iter_mut()) {
             record.make_ascii_uppercase();
         }
-        let mirror = wire::apply_patches(&self.ciphertext, layout, &patches)?;
-        let splices = self.doc.apply_foreign(&patches)?;
-        self.ciphertext = mirror;
+        // Each step checks everything before it changes anything.
+        wire::apply_patches(&mut self.ciphertext, layout, &patches)?;
+        let splices = match self.doc.apply_foreign(&patches) {
+            Ok(splices) => splices,
+            Err(e) => {
+                // The document refused the splice (an integrity check):
+                // put the mirror back to the unchanged document.
+                self.ciphertext = self.doc.serialize();
+                return Err(e);
+            }
+        };
         debug_assert_eq!(self.ciphertext, self.doc.serialize());
         Ok(splices)
     }

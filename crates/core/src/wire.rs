@@ -208,63 +208,77 @@ pub fn split_records(text: &str) -> Result<Vec<&str>, CoreError> {
 }
 
 /// Applies a sorted, non-overlapping patch set to a serialized ciphertext
-/// document, producing the updated serialized document.
+/// document in place.
 ///
 /// This mirrors what the cloud server effectively does when it applies the
 /// transformed delta: it is used by tests and by the delta transformer to
-/// maintain the extension's ciphertext mirror.
+/// maintain the extension's ciphertext mirror. Every check runs before
+/// anything changes, and the checks look only at what the patches touch
+/// — their record offsets and the records they insert — so the cost is
+/// the bytes from the first patch to the end plus the inserted records.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Malformed`] when patches overlap, are unsorted, or
-/// reach outside the document's records.
+/// Returns [`CoreError::Malformed`] when patches overlap, are unsorted,
+/// reach outside the document's records, or insert a record that is not
+/// `record_chars` ASCII characters; `doc` is then unchanged.
 pub fn apply_patches(
-    old: &str,
+    doc: &mut String,
     layout: Layout,
     patches: &[CipherPatch],
-) -> Result<String, CoreError> {
-    let record_region = old
-        .get(layout.preamble_chars..)
-        .ok_or_else(|| CoreError::Malformed { detail: "document shorter than preamble".into() })?;
-    if !old.is_ascii() {
-        return Err(CoreError::Malformed { detail: "ciphertext documents are ASCII".into() });
+) -> Result<(), CoreError> {
+    let malformed = |detail: String| CoreError::Malformed { detail };
+    let record_region = doc
+        .len()
+        .checked_sub(layout.preamble_chars)
+        .filter(|_| doc.is_char_boundary(layout.preamble_chars))
+        .ok_or_else(|| malformed("document shorter than preamble".into()))?;
+    if record_region % layout.record_chars != 0 {
+        return Err(malformed("misaligned record region".into()));
     }
-    if record_region.len() % layout.record_chars != 0 {
-        return Err(CoreError::Malformed { detail: "misaligned record region".into() });
-    }
-    let total_records = record_region.len() / layout.record_chars;
-    let mut out = String::with_capacity(old.len());
-    out.push_str(&old[..layout.preamble_chars]);
+    let total_records = record_region / layout.record_chars;
     let mut cursor = 0usize; // record index into the old document
     for patch in patches {
         if patch.start_record < cursor {
-            return Err(CoreError::Malformed { detail: "patches overlap or are unsorted".into() });
+            return Err(malformed("patches overlap or are unsorted".into()));
         }
-        let splice_end = patch.start_record + patch.removed;
+        let splice_end = patch.start_record.saturating_add(patch.removed);
         if splice_end > total_records {
-            return Err(CoreError::Malformed {
-                detail: format!(
-                    "patch touches record {} but document has {total_records}",
-                    splice_end - 1
-                ),
-            });
+            return Err(malformed(format!(
+                "patch touches record {} but document has {total_records}",
+                splice_end - 1
+            )));
         }
-        // Copy untouched records, skip removed ones, emit replacements.
-        let keep_start = layout.preamble_chars + cursor * layout.record_chars;
-        let keep_end = layout.preamble_chars + patch.start_record * layout.record_chars;
-        out.push_str(&old[keep_start..keep_end]);
-        for record in &patch.inserted {
-            if record.len() != layout.record_chars {
-                return Err(CoreError::Malformed {
-                    detail: format!("inserted record has width {}", record.len()),
-                });
+        for at in [patch.start_record, splice_end] {
+            if !doc.is_char_boundary(layout.record_offset(at)) {
+                return Err(malformed("ciphertext documents are ASCII".into()));
             }
-            out.push_str(record);
+        }
+        if let Some(bad) =
+            patch.inserted.iter().find(|r| r.len() != layout.record_chars || !r.is_ascii())
+        {
+            return Err(malformed(format!(
+                "inserted record of width {} is not {} ASCII characters",
+                bad.len(),
+                layout.record_chars
+            )));
         }
         cursor = splice_end;
     }
-    out.push_str(&old[layout.preamble_chars + cursor * layout.record_chars..]);
-    Ok(out)
+    let Some(first) = patches.first() else {
+        return Ok(());
+    };
+    let base = layout.record_offset(first.start_record);
+    let tail = doc.split_off(base);
+    let mut cursor = base;
+    for patch in patches {
+        let start = layout.record_offset(patch.start_record);
+        doc.push_str(&tail[cursor - base..start - base]);
+        patch.inserted.iter().for_each(|record| doc.push_str(record));
+        cursor = layout.record_offset(patch.start_record + patch.removed);
+    }
+    doc.push_str(&tail[cursor - base..]);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -353,7 +367,8 @@ mod tests {
         let doc = sample_doc(3);
         let replacement = encode_record('2', &[0xff; 16]);
         let patch = CipherPatch::splice(1, 1, vec![replacement.clone()]);
-        let out = apply_patches(&doc, Layout::standard(), &[patch]).unwrap();
+        let mut out = doc.clone();
+        apply_patches(&mut out, Layout::standard(), &[patch]).unwrap();
         let records = split_records(&out).unwrap();
         assert_eq!(records.len(), 3);
         assert_eq!(records[1], replacement);
@@ -368,7 +383,8 @@ mod tests {
             CipherPatch::splice(1, 0, vec![extra.clone()]),
             CipherPatch::splice(2, 2, vec![]),
         ];
-        let out = apply_patches(&doc, Layout::standard(), &patches).unwrap();
+        let mut out = doc.clone();
+        apply_patches(&mut out, Layout::standard(), &patches).unwrap();
         let old_records = split_records(&doc).unwrap();
         let records = split_records(&out).unwrap();
         assert_eq!(records.len(), 3);
@@ -381,19 +397,40 @@ mod tests {
     fn apply_patches_rejects_overlap() {
         let doc = sample_doc(4);
         let patches = vec![CipherPatch::splice(1, 2, vec![]), CipherPatch::splice(2, 1, vec![])];
-        assert!(apply_patches(&doc, Layout::standard(), &patches).is_err());
+        let mut out = doc.clone();
+        assert!(apply_patches(&mut out, Layout::standard(), &patches).is_err());
+        assert_eq!(out, doc, "nothing changes until every check passes");
     }
 
     #[test]
     fn apply_patches_rejects_out_of_range() {
         let doc = sample_doc(2);
         let patches = vec![CipherPatch::splice(1, 5, vec![])];
-        assert!(apply_patches(&doc, Layout::standard(), &patches).is_err());
+        assert!(apply_patches(&mut doc.clone(), Layout::standard(), &patches).is_err());
     }
 
     #[test]
     fn empty_patch_set_is_identity() {
         let doc = sample_doc(2);
-        assert_eq!(apply_patches(&doc, Layout::standard(), &[]).unwrap(), doc);
+        let mut out = doc.clone();
+        apply_patches(&mut out, Layout::standard(), &[]).unwrap();
+        assert_eq!(out, doc);
+    }
+
+    #[test]
+    fn apply_patches_checks_the_records_it_inserts() {
+        let doc = sample_doc(3);
+        let good = encode_record('2', &[0xff; 16]);
+        let accented = format!("é{}", &good[2..]);
+        for bad in ["short".to_string(), accented] {
+            // The second patch is bad: the first must not land either.
+            let patches = vec![
+                CipherPatch::splice(0, 1, vec![good.clone()]),
+                CipherPatch::splice(2, 0, vec![bad]),
+            ];
+            let mut out = doc.clone();
+            assert!(apply_patches(&mut out, Layout::standard(), &patches).is_err());
+            assert_eq!(out, doc);
+        }
     }
 }

@@ -96,6 +96,9 @@ proptest! {
         };
         let inserted = vec!["W".repeat(width); n_inserted];
         let patch = CipherPatch::splice(start, removed, inserted);
-        let _ = apply_patches(&doc, Layout::standard(), &[patch]);
+        let mut out = doc.clone();
+        if apply_patches(&mut out, Layout::standard(), &[patch]).is_err() {
+            prop_assert_eq!(out, doc, "a refused patch changes nothing");
+        }
     }
 }

@@ -68,7 +68,7 @@ where
         let op = resolve(raw, model.len());
         let patches = doc.apply(&op).expect("in-bounds edit must succeed");
         apply_model(&mut model, &op);
-        server = apply_patches(&server, doc.layout(), &patches)
+        apply_patches(&mut server, doc.layout(), &patches)
             .expect("patches must apply to the server copy");
         assert_eq!(server, doc.serialize(), "server copy must track serialization");
         assert_eq!(doc.decrypt().expect("decrypt"), model, "decrypt must match the model");

@@ -13,7 +13,10 @@ use crate::ops::{Delta, DeltaOp};
 impl Delta {
     /// Composes `self` followed by `other` into one delta such that for
     /// every document `d` where the two-step application succeeds,
-    /// `self.compose(&other).apply(d) == other.apply(self.apply(d))`.
+    /// `self.compose(&other).apply_bytes(d) ==
+    /// other.apply_bytes(self.apply_bytes(d))`. Counts are **bytes**; a
+    /// count of `other` that ends inside a multi-byte character `self`
+    /// inserts is rounded up to the end of that character.
     ///
     /// Composition is total: operations of `other` that reach past
     /// `self`'s explicit output operate on the implicitly-retained tail
@@ -70,24 +73,19 @@ impl Delta {
                     requeue_count(&mut b, DeltaOp::Delete(m - take));
                 }
                 (Some(DeltaOp::Insert(s)), Some(DeltaOp::Retain(m))) => {
-                    let chars: Vec<char> = s.chars().collect();
-                    let take = chars.len().min(m);
-                    let kept: String = chars[..take].iter().collect();
-                    out.insert(&kept);
-                    let rest: String = chars[take..].iter().collect();
-                    if !rest.is_empty() {
-                        a.push_front(DeltaOp::Insert(rest));
+                    let take = split_point(&s, m);
+                    out.insert(&s[..take]);
+                    if take < s.len() {
+                        a.push_front(DeltaOp::Insert(s[take..].to_string()));
                     }
-                    requeue_count(&mut b, DeltaOp::Retain(m - take));
+                    requeue_count(&mut b, DeltaOp::Retain(m.saturating_sub(take)));
                 }
                 (Some(DeltaOp::Insert(s)), Some(DeltaOp::Delete(m))) => {
-                    let chars: Vec<char> = s.chars().collect();
-                    let take = chars.len().min(m);
-                    let rest: String = chars[take..].iter().collect();
-                    if !rest.is_empty() {
-                        a.push_front(DeltaOp::Insert(rest));
+                    let take = split_point(&s, m);
+                    if take < s.len() {
+                        a.push_front(DeltaOp::Insert(s[take..].to_string()));
                     }
-                    requeue_count(&mut b, DeltaOp::Delete(m - take));
+                    requeue_count(&mut b, DeltaOp::Delete(m.saturating_sub(take)));
                 }
                 // Unreachable: deletes in `a` and inserts in `b` were
                 // drained above.
@@ -115,6 +113,13 @@ fn push_op(out: &mut crate::ops::DeltaBuilder, op: &DeltaOp) {
     }
 }
 
+/// How many bytes of inserted text `s` a retain or delete of `count`
+/// bytes consumes: at most all of `s`, rounded up to the end of a
+/// character the count would cut.
+fn split_point(s: &str, count: usize) -> usize {
+    s.ceil_char_boundary(s.len().min(count))
+}
+
 /// Puts the remainder of a partially-consumed counting op back on the
 /// queue front (dropping empty remainders).
 fn requeue_count(queue: &mut VecDeque<DeltaOp>, op: DeltaOp) {
@@ -132,10 +137,10 @@ mod tests {
     fn compose_check(doc: &str, a: &str, b: &str) {
         let da = Delta::parse(a).unwrap();
         let db = Delta::parse(b).unwrap();
-        let two_step = db.apply(&da.apply(doc).unwrap()).unwrap();
+        let two_step = db.apply_bytes(&da.apply_bytes(doc.as_bytes()).unwrap()).unwrap();
         let composed = da.compose(&db);
         assert_eq!(
-            composed.apply(doc).unwrap(),
+            composed.apply_bytes(doc.as_bytes()).unwrap(),
             two_step,
             "compose({a:?}, {b:?}) on {doc:?} → {composed:?}"
         );
@@ -148,7 +153,9 @@ mod tests {
         compose_check("hello", "", "=1\t+i");
         compose_check("hello", "+abc", "");
         compose_check("hello", "-5", "+bye");
-        compose_check("hello", "+抹茶", "=1\t-1");
+        // Byte counts: 抹 and 茶 are three bytes each.
+        compose_check("hello", "+抹茶", "=3\t-3");
+        compose_check("héé", "+é", "=2\t+y\t=3\t-2");
     }
 
     #[test]

@@ -33,6 +33,17 @@ pub enum DeltaError {
         /// Document length.
         len: usize,
     },
+    /// An edit of a byte-counted delta cuts a multi-byte character of the
+    /// text where the cut cannot stand: [`Delta::apply_in_place`] when
+    /// the result would not be valid UTF-8, [`Delta::invert`] when a
+    /// delete starts or ends inside a character.
+    ///
+    /// [`Delta::apply_in_place`]: crate::Delta::apply_in_place
+    /// [`Delta::invert`]: crate::Delta::invert
+    SplitsCharacter {
+        /// Byte offset of the cut.
+        position: usize,
+    },
 }
 
 impl fmt::Display for DeltaError {
@@ -50,6 +61,9 @@ impl fmt::Display for DeltaError {
                 f,
                 "operation at cursor {position} requests {requested} characters but document has {len}"
             ),
+            DeltaError::SplitsCharacter { position } => {
+                write!(f, "edit at byte {position} splits a character")
+            }
         }
     }
 }

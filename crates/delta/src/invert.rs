@@ -7,16 +7,21 @@
 //! information (the deleted text) that only the base can supply.
 
 use crate::error::DeltaError;
-use crate::ops::{Delta, DeltaOp};
+use crate::ops::Delta;
 
 impl Delta {
     /// Computes the inverse of this delta with respect to `base`: applying
-    /// the result to `self.apply(base)` yields `base` again.
+    /// the result to `self.apply_bytes(base)` yields `base` again.
+    ///
+    /// Counts are **bytes**, as in [`Delta::apply_bytes`], and only the
+    /// deleted bytes are copied: the cost is the delta's size, not the
+    /// document's.
     ///
     /// # Errors
     ///
     /// Returns [`DeltaError::PastEnd`] when this delta does not fit
-    /// `base`.
+    /// `base`, and [`DeltaError::SplitsCharacter`] when a delete starts
+    /// or ends inside a multi-byte character.
     ///
     /// # Example
     ///
@@ -24,48 +29,24 @@ impl Delta {
     /// use pe_delta::Delta;
     ///
     /// let edit = Delta::parse("=2\t-3\t+uv")?;
-    /// let edited = edit.apply("abcdefg")?;          // "abuvfg" + implicit tail
+    /// let edited = edit.apply_bytes(b"abcdefg")?;       // "abuvfg" + implicit tail
     /// let undo = edit.invert("abcdefg")?;
-    /// assert_eq!(undo.apply(&edited)?, "abcdefg");
+    /// assert_eq!(undo.apply_bytes(&edited)?, b"abcdefg");
     /// # Ok::<(), pe_delta::DeltaError>(())
     /// ```
     pub fn invert(&self, base: &str) -> Result<Delta, DeltaError> {
-        let chars: Vec<char> = base.chars().collect();
-        let mut cursor = 0usize; // position in base
         let mut inverse = Delta::builder();
-        for op in self.ops() {
-            match op {
-                DeltaOp::Retain(n) => {
-                    let end =
-                        cursor.checked_add(*n).filter(|&e| e <= chars.len()).ok_or(
-                            DeltaError::PastEnd {
-                                position: cursor,
-                                requested: *n,
-                                len: chars.len(),
-                            },
-                        )?;
-                    inverse.retain(*n);
-                    cursor = end;
-                }
-                DeltaOp::Insert(s) => {
-                    // Inserted text is deleted by the inverse.
-                    inverse.delete(s.chars().count());
-                }
-                DeltaOp::Delete(n) => {
-                    let end =
-                        cursor.checked_add(*n).filter(|&e| e <= chars.len()).ok_or(
-                            DeltaError::PastEnd {
-                                position: cursor,
-                                requested: *n,
-                                len: chars.len(),
-                            },
-                        )?;
-                    // Deleted text is re-inserted by the inverse.
-                    let restored: String = chars[cursor..end].iter().collect();
-                    inverse.insert(&restored);
-                    cursor = end;
-                }
-            }
+        let mut cursor = 0usize;
+        for hunk in self.hunks(base.len())? {
+            // Deleted text is re-inserted by the inverse, and inserted
+            // text deleted.
+            let restored = base.get(hunk.at..hunk.at + hunk.removed).ok_or_else(|| {
+                let position =
+                    if base.is_char_boundary(hunk.at) { hunk.at + hunk.removed } else { hunk.at };
+                DeltaError::SplitsCharacter { position }
+            })?;
+            inverse.retain(hunk.at - cursor).delete(hunk.inserted_len()).insert(restored);
+            cursor = hunk.at + hunk.removed;
         }
         Ok(inverse.build())
     }
@@ -78,9 +59,13 @@ mod tests {
 
     fn check(base: &str, wire: &str) {
         let delta = Delta::parse(wire).unwrap();
-        let edited = delta.apply(base).unwrap();
+        let edited = delta.apply_bytes(base.as_bytes()).unwrap();
         let inverse = delta.invert(base).unwrap();
-        assert_eq!(inverse.apply(&edited).unwrap(), base, "invert({wire:?}) on {base:?}");
+        assert_eq!(
+            inverse.apply_bytes(&edited).unwrap(),
+            base.as_bytes(),
+            "invert({wire:?}) on {base:?}"
+        );
     }
 
     #[test]
@@ -100,7 +85,10 @@ mod tests {
 
     #[test]
     fn unicode_restores() {
-        check("日本語です", "=1\t-2\t+ABC");
+        // Byte counts: 日 is three bytes, so "=3\t-6" deletes 本語.
+        check("日本語です", "=3\t-6\t+ABC");
+        check("héé", "=5\t+y");
+        check("héé", "=1\t-2\t+ö\t=2\t+ü");
     }
 
     #[test]
@@ -110,35 +98,46 @@ mod tests {
     }
 
     #[test]
+    fn a_delete_that_splits_a_character_fails() {
+        let delta = Delta::parse("=1\t-1").unwrap();
+        assert_eq!(delta.invert("é"), Err(DeltaError::SplitsCharacter { position: 1 }));
+        let delta = Delta::parse("-1").unwrap();
+        assert_eq!(delta.invert("é"), Err(DeltaError::SplitsCharacter { position: 1 }));
+    }
+
+    #[test]
     fn double_inversion_restores_effect() {
         let base = "double inversion test";
         let delta = Delta::parse("=7\t-9\t+X").unwrap();
-        let edited = delta.apply(base).unwrap();
+        let edited = String::from_utf8(delta.apply_bytes(base.as_bytes()).unwrap()).unwrap();
         let inverse = delta.invert(base).unwrap();
         let double = inverse.invert(&edited).unwrap();
-        assert_eq!(double.apply(base).unwrap(), edited);
+        assert_eq!(double.apply_bytes(base.as_bytes()).unwrap(), edited.as_bytes());
     }
 
     proptest! {
-        /// invert is a true left inverse for arbitrary valid deltas.
+        /// invert is a true left inverse for arbitrary valid byte deltas
+        /// whose edits sit on character boundaries.
         #[test]
         fn inversion_law(
-            base in "[a-f ]{0,60}",
-            raw in proptest::collection::vec((any::<u8>(), 0usize..12, "[x-z]{0,6}"), 0..10),
+            base in "[a-fé日 ]{0,40}",
+            raw in proptest::collection::vec((any::<u8>(), 0usize..12, "[x-zö]{0,6}"), 0..10),
         ) {
-            let mut remaining = base.chars().count();
+            let mut cursor = 0;
             let mut builder = Delta::builder();
             for (kind, n, text) in raw {
+                // Whole characters only: the byte length of the next n.
+                let take: usize = base[cursor..].chars().take(n).map(char::len_utf8).sum();
                 match kind % 3 {
-                    0 => { let t = n.min(remaining); remaining -= t; builder.retain(t); }
-                    1 => { let t = n.min(remaining); remaining -= t; builder.delete(t); }
+                    0 => { cursor += take; builder.retain(take); }
+                    1 => { cursor += take; builder.delete(take); }
                     _ => { builder.insert(&text); }
                 }
             }
             let delta = builder.build();
-            let edited = delta.apply(&base).unwrap();
+            let edited = delta.apply_bytes(base.as_bytes()).unwrap();
             let inverse = delta.invert(&base).unwrap();
-            prop_assert_eq!(inverse.apply(&edited).unwrap(), base);
+            prop_assert_eq!(inverse.apply_bytes(&edited).unwrap(), base.as_bytes());
         }
     }
 }

@@ -18,8 +18,10 @@
 //!
 //! This crate implements the protocol: [`Delta`] values can be
 //! [parsed](Delta::parse), [serialized](Delta::serialize),
-//! [applied](Delta::apply) to documents, [composed](Delta::compose),
-//! [derived from two document versions](diff), and
+//! [applied](Delta::apply) to documents (or, counting bytes,
+//! [in place](Delta::apply_in_place)), [composed](Delta::compose),
+//! [derived from two document versions](diff) — as one window or as
+//! [separate hunks](diff_hunks) — and
 //! [canonicalized](Delta::canonicalize) — the §VI-B countermeasure that
 //! squashes covert channels hidden in redundant edit sequences.
 //!
@@ -47,7 +49,7 @@ mod invert;
 mod ops;
 mod transform;
 
-pub use diff::{changed_window, diff, diff_around};
+pub use diff::{changed_window, diff, diff_around, diff_hunks};
 pub use error::DeltaError;
-pub use ops::{Delta, DeltaBuilder, DeltaOp};
+pub use ops::{seams_are_utf8, Delta, DeltaBuilder, DeltaOp, Hunk};
 pub use transform::Side;

@@ -1,6 +1,7 @@
 //! Core delta types: operations, parsing, serialization, application.
 
 use std::fmt;
+use std::ops::Range;
 use std::str::FromStr;
 
 use crate::error::DeltaError;
@@ -240,6 +241,109 @@ impl Delta {
         Ok(out)
     }
 
+    /// The edits of this delta against a document of `len` bytes, in
+    /// order: each maximal run of deletes and inserts between retains of
+    /// at least one byte. Counts are **bytes**, as in
+    /// [`Delta::apply_bytes`]; nothing is copied.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeltaError::PastEnd`] exactly where
+    /// [`Delta::apply_bytes`] would.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use pe_delta::Delta;
+    ///
+    /// let delta = Delta::parse("=2\t-3\t+uv\t=2\t+w")?;
+    /// let hunks = delta.hunks(7)?;
+    /// assert_eq!((hunks[0].at, hunks[0].removed, hunks[0].inserted_len()), (2, 3, 2));
+    /// assert_eq!((hunks[1].at, hunks[1].removed, hunks[1].inserted_len()), (7, 0, 1));
+    /// # Ok::<(), pe_delta::DeltaError>(())
+    /// ```
+    pub fn hunks(&self, len: usize) -> Result<Vec<Hunk<'_>>, DeltaError> {
+        let mut hunks = Vec::new();
+        let mut cursor = 0usize;
+        // (first op of the open run, its offset, bytes it removes)
+        let mut run: Option<(usize, usize, usize)> = None;
+        for (i, op) in self.ops.iter().enumerate() {
+            match op {
+                DeltaOp::Retain(n) => {
+                    cursor = advance(cursor, *n, len)?;
+                    if *n > 0 {
+                        if let Some((first, at, removed)) = run.take() {
+                            hunks.push(Hunk { at, removed, ops: &self.ops[first..i] });
+                        }
+                    }
+                }
+                DeltaOp::Delete(n) => {
+                    let end = advance(cursor, *n, len)?;
+                    run.get_or_insert((i, cursor, 0)).2 += n;
+                    cursor = end;
+                }
+                DeltaOp::Insert(_) => {
+                    run.get_or_insert((i, cursor, 0));
+                }
+            }
+        }
+        if let Some((first, at, removed)) = run {
+            hunks.push(Hunk { at, removed, ops: &self.ops[first..] });
+        }
+        Ok(hunks)
+    }
+
+    /// Applies this delta to `text` in place, counting **bytes** like
+    /// [`Delta::apply_bytes`]. The text before the first edit is not
+    /// touched, so the cost is the bytes from the first edit to the end
+    /// plus the inserted text — not a copy of the document.
+    ///
+    /// An edit may cut a multi-byte character as long as the result is
+    /// text: the delta is accepted exactly when `apply_bytes` would give
+    /// valid UTF-8, which [`seams_are_utf8`] decides from the characters
+    /// the edits touch.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeltaError::PastEnd`] as [`Delta::apply_bytes`] does, and
+    /// [`DeltaError::SplitsCharacter`] when the result would not be valid
+    /// UTF-8. On error `text` is unchanged.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use pe_delta::Delta;
+    ///
+    /// let mut text = String::from("héllo");
+    /// Delta::parse("=1\t-2\t+e\t=3\t+!")?.apply_in_place(&mut text)?;
+    /// assert_eq!(text, "hello!");
+    /// // é is c3 a9: cutting it in two is refused, cutting it out is not.
+    /// let mut accents = String::from("éé");
+    /// assert!(Delta::parse("=1\t-1")?.apply_in_place(&mut accents).is_err());
+    /// Delta::parse("=1\t-2")?.apply_in_place(&mut accents)?;
+    /// assert_eq!(accents, "é");
+    /// # Ok::<(), pe_delta::DeltaError>(())
+    /// ```
+    pub fn apply_in_place(&self, text: &mut String) -> Result<(), DeltaError> {
+        let hunks = self.hunks(text.len())?;
+        let seams = seams(text.as_bytes(), &hunks)?;
+        let Some((first, _)) = seams.first() else {
+            return Ok(());
+        };
+        // Whole-slice copies, not `replace_range`, whose byte-at-a-time
+        // fill cost more on multi-hunk deltas.
+        let base = first.start;
+        let tail = text.split_off(base);
+        let mut cursor = base;
+        for (range, window) in &seams {
+            text.push_str(&tail[cursor - base..range.start - base]);
+            text.push_str(window);
+            cursor = range.end;
+        }
+        text.push_str(&tail[cursor - base..]);
+        Ok(())
+    }
+
     /// Returns an equivalent delta with adjacent same-kind operations
     /// merged, zero-length operations removed, and trailing retains
     /// dropped.
@@ -291,6 +395,123 @@ impl FromStr for Delta {
     fn from_str(s: &str) -> Result<Delta, DeltaError> {
         Delta::parse(s)
     }
+}
+
+/// One edit of a delta, as [`Delta::hunks`] finds it: at byte `at` of
+/// the input document, `removed` bytes give way to the inserted text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hunk<'a> {
+    /// Byte offset of the edit in the input document.
+    pub at: usize,
+    /// Bytes of the input document the edit removes.
+    pub removed: usize,
+    /// The run's deletes and inserts, in order.
+    ops: &'a [DeltaOp],
+}
+
+impl<'a> Hunk<'a> {
+    /// The inserted text, in order (a run may hold several inserts).
+    pub fn inserted(&self) -> impl Iterator<Item = &'a str> {
+        self.ops.iter().filter_map(|op| match op {
+            DeltaOp::Insert(s) => Some(s.as_str()),
+            _ => None,
+        })
+    }
+
+    /// Bytes the edit inserts.
+    pub fn inserted_len(&self) -> usize {
+        self.inserted().map(str::len).sum()
+    }
+}
+
+/// Whether splicing `hunks` (from [`Delta::hunks`]) into `old`, which is
+/// valid UTF-8, leaves valid UTF-8. Text outside the characters a hunk
+/// touches is unchanged whole characters, so only those characters, with
+/// the inserted text, are checked: the cost is the edits', and the answer
+/// is exactly the validity of the whole result.
+///
+/// # Example
+///
+/// ```
+/// use pe_delta::{seams_are_utf8, Delta};
+///
+/// let old = "é".as_bytes(); // c3 a9
+/// let cut = Delta::parse("=1\t+x")?;
+/// assert!(!seams_are_utf8(old, &cut.hunks(old.len())?));
+/// let nothing_between = Delta::parse("=1\t+\t=1")?;
+/// assert!(seams_are_utf8(old, &nothing_between.hunks(old.len())?));
+/// # Ok::<(), pe_delta::DeltaError>(())
+/// ```
+pub fn seams_are_utf8(old: &[u8], hunks: &[Hunk<'_>]) -> bool {
+    seams(old, hunks).is_ok()
+}
+
+/// The splice of `hunks` into `old` (valid UTF-8), seam by seam: each
+/// group of hunks whose characters touch, as the range of whole
+/// characters of `old` it covers and the text that replaces that range.
+/// Fails at a cut that leaves a broken character.
+///
+/// Checking the groups one by one is exact: between two groups lies at
+/// least one whole character of `old`, or else the later group starts
+/// with the lead byte of one, so no character of the result spans two
+/// groups.
+fn seams(old: &[u8], hunks: &[Hunk<'_>]) -> Result<Vec<(Range<usize>, String)>, DeltaError> {
+    let continues = |at: usize| at < old.len() && old[at] & 0xC0 == 0x80;
+    let mut seams = Vec::new();
+    let mut i = 0;
+    while i < hunks.len() {
+        let mut start = hunks[i].at;
+        while continues(start) {
+            start -= 1;
+        }
+        // Hunks whose characters touch are checked together, and so are
+        // hunks that meet end to end: the text between them is empty, so
+        // a character may run from one into the other.
+        let mut j = i;
+        let mut end = hunks[i].at + hunks[i].removed;
+        loop {
+            while continues(end) {
+                end += 1;
+            }
+            match hunks.get(j + 1) {
+                Some(next) if next.at <= end => {
+                    j += 1;
+                    end = end.max(next.at + next.removed);
+                }
+                _ => break,
+            }
+        }
+        let group = &hunks[i..=j];
+        let mut window = Vec::new();
+        let mut cursor = start;
+        for hunk in group {
+            window.extend_from_slice(&old[cursor..hunk.at]);
+            hunk.inserted().for_each(|text| window.extend_from_slice(text.as_bytes()));
+            cursor = hunk.at + hunk.removed;
+        }
+        window.extend_from_slice(&old[cursor..end]);
+        let window = String::from_utf8(window).map_err(|_| {
+            // Cuts on boundaries join whole characters, so one is inside.
+            let position = group
+                .iter()
+                .flat_map(|h| [h.at, h.at + h.removed])
+                .find(|&at| continues(at))
+                .unwrap_or(start);
+            DeltaError::SplitsCharacter { position }
+        })?;
+        seams.push((start..end, window));
+        i = j + 1;
+    }
+    Ok(seams)
+}
+
+/// The cursor after a retain or delete of `n` at `cursor` in a document
+/// of `len` bytes.
+fn advance(cursor: usize, n: usize, len: usize) -> Result<usize, DeltaError> {
+    cursor
+        .checked_add(n)
+        .filter(|&end| end <= len)
+        .ok_or(DeltaError::PastEnd { position: cursor, requested: n, len })
 }
 
 fn parse_count(digits: &str, token: &str) -> Result<usize, DeltaError> {
@@ -498,6 +719,45 @@ mod tests {
     fn unicode_documents() {
         let delta = Delta::parse("=2\t+héllo\t-1").unwrap();
         assert_eq!(delta.apply("日本語です").unwrap(), "日本hélloです");
+    }
+
+    #[test]
+    fn in_place_accepts_exactly_the_deltas_whose_result_is_text() {
+        // Two cuts whose characters meet end to end: the lead byte of one
+        // 日 and the last byte of the next make a new character.
+        let mut text = String::from("é😀日日éé");
+        Delta::parse("=7\t-1\t=1\t-2").unwrap().apply_in_place(&mut text).unwrap();
+        assert_eq!(text, "é😀\u{6965}éé");
+        let mut state = 3u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) as usize
+        };
+        let alphabet = ["a", "é", "日", "😀", ""];
+        for _ in 0..3000 {
+            let pick = |n: usize, next: &mut dyn FnMut() -> usize| -> String {
+                (0..n).map(|_| alphabet[next() % alphabet.len()]).collect()
+            };
+            let text = pick(next() % 8, &mut next);
+            // One to three edits at arbitrary byte offsets, cuts included.
+            let mut builder = Delta::builder();
+            let mut cursor = 0;
+            for _ in 0..1 + next() % 3 {
+                let at = cursor + next() % (text.len() - cursor + 1);
+                let end = at + next() % (text.len() - at + 1).min(4);
+                builder.retain(at - cursor).delete(end - at).insert(&pick(next() % 2, &mut next));
+                cursor = end;
+            }
+            let delta = builder.build();
+            let expected = String::from_utf8(delta.apply_bytes(text.as_bytes()).unwrap()).ok();
+            let hunks = delta.hunks(text.len()).unwrap();
+            assert_eq!(seams_are_utf8(text.as_bytes(), &hunks), expected.is_some(), "{text:?} {delta}");
+            let mut in_place = text.clone();
+            match delta.apply_in_place(&mut in_place) {
+                Ok(()) => assert_eq!(Some(in_place), expected, "{text:?} {delta}"),
+                Err(_) => assert!(expected.is_none() && in_place == text, "{text:?} {delta}"),
+            }
+        }
     }
 
     #[test]

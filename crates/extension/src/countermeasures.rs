@@ -6,9 +6,15 @@
 //! * **Delta canonicalization** — "many different sequences of delta
 //!   commands could produce the same editing outcome, so the malicious
 //!   client could select different sequences to encode additional
-//!   information". Rewriting every outgoing delta into the canonical
-//!   minimal form (the diff of the two document versions) destroys such
-//!   encodings; see [`canonical_delta`].
+//!   information". Rewriting every outgoing delta into a canonical form
+//!   computed from the two document versions alone destroys such
+//!   encodings; see [`canonical_delta`]. The form is one replace per
+//!   differing stretch (Myers' diff inside the changed window, widened
+//!   to whole characters, stretches closer than [`MERGE_GAP`] merged),
+//!   or the single window when the edit distance exceeds
+//!   [`EDIT_DISTANCE_CAP`]. So the server learns where each stretch is
+//!   and how long, not only the outer span of the change — the price of
+//!   sealing only the blocks the edit touches.
 //! * **Random delays** — "we could add random delays … to every outgoing
 //!   update request" to blunt timing channels. [`suggested_delay`]
 //!   produces the delay; callers decide whether to sleep (benchmarks
@@ -21,7 +27,7 @@ use std::time::Duration;
 
 use pe_crypto::base32;
 use pe_crypto::drbg::NonceSource;
-use pe_delta::{changed_window, Delta};
+use pe_delta::{diff_hunks, Delta, DeltaOp};
 
 use crate::error::ExtensionError;
 
@@ -31,28 +37,43 @@ pub const MAX_DELAY: Duration = Duration::from_millis(300);
 /// Maximum padding bytes appended to an update body.
 pub const MAX_PADDING: usize = 64;
 
+/// Largest edit distance, in bytes inserted plus bytes deleted, that
+/// [`canonical_delta`] splits into separate hunks. Above it the delta is
+/// the single window. Typing bursts of 20 keystrokes on 32 KiB documents
+/// measured at most 30.
+pub const EDIT_DISTANCE_CAP: usize = 64;
+
+/// Hunks closer than this many equal bytes merge into one: two of the
+/// largest (8-byte) blocks, so a shorter gap saves no seal.
+pub const MERGE_GAP: usize = 16;
+
 /// Rewrites an outgoing delta into its canonical form against `base`:
-/// one `retain, delete, insert` over the window where the two versions
-/// differ, found by the same prefix/suffix routine as
-/// [`pe_delta::diff`]. Counts are **bytes**, like every delta the
-/// mediator encrypts (see [`Delta::apply_bytes`]); the window's ends sit
-/// on character boundaries, so each step of a session stays valid text.
-/// Any two deltas with the same effect canonicalize to the same bytes.
+/// [`pe_delta::diff_hunks`] of `base` and the delta's result, with the
+/// cap [`EDIT_DISTANCE_CAP`] and merge gap [`MERGE_GAP`]. Counts are
+/// **bytes**, like every delta the mediator encrypts (see
+/// [`Delta::apply_bytes`]); every hunk sits on character boundaries, so
+/// each step of a session stays valid text. Any two deltas with the same
+/// effect canonicalize to the same bytes.
+///
+/// Building the result costs one copy of `base`. The delta's first
+/// retain and the tail it leaves untouched are bytes both versions
+/// share, so they are passed to `diff_hunks` as hints: the scans for the
+/// changed window start there, and the comparisons cost the window's
+/// bytes, not the document's. Hints only skip comparisons; the hunks
+/// never come from the delta's own ops.
 ///
 /// # Errors
 ///
 /// Fails when `delta` does not fit `base` or its result is not UTF-8.
 pub fn canonical_delta(delta: &Delta, base: &str) -> Result<Delta, ExtensionError> {
-    let updated = String::from_utf8(delta.apply_bytes(base.as_bytes())?).map_err(|_| {
-        ExtensionError::BadResponse { detail: "delta produced invalid text".into() }
-    })?;
-    let (prefix, suffix) = changed_window(base, &updated, 0, 0);
-    let mut builder = Delta::builder();
-    builder
-        .retain(prefix)
-        .delete(base.len() - prefix - suffix)
-        .insert(&updated[prefix..updated.len() - suffix]);
-    Ok(builder.build())
+    let mut new = base.to_owned();
+    delta.apply_in_place(&mut new)?;
+    let same_prefix = match delta.ops() {
+        [DeltaOp::Retain(n), ..] => *n,
+        _ => 0,
+    };
+    let same_suffix = base.len() - delta.input_len();
+    Ok(diff_hunks(base, &new, same_prefix, same_suffix, EDIT_DISTANCE_CAP, MERGE_GAP))
 }
 
 /// Draws a random delay in `0..=MAX_DELAY` for an outgoing update.

@@ -794,14 +794,13 @@ impl<S: CloudService> DocsMediator<S> {
         } else {
             delta.clone()
         };
+        // The plaintext mirror first: it checks the delta (bounds, and
+        // that the result is text) before anything changes.
+        effective.apply_in_place(&mut state.plaintext)?;
         let cdelta = {
             let _timed = pe_observe::static_histogram!("mediator.encrypt_ns").span();
             state.transformer.transform(&effective)?
         };
-        let updated = effective.apply_bytes(state.plaintext.as_bytes())?;
-        state.plaintext = String::from_utf8(updated).map_err(|_| {
-            ExtensionError::BadResponse { detail: "delta produced invalid text".into() }
-        })?;
         if !state.plaintext.is_empty() {
             pe_observe::static_histogram!("mediator.blowup_pct").record(
                 (state.transformer.ciphertext().len() * 100 / state.plaintext.len()) as u64,

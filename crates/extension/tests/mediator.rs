@@ -181,6 +181,34 @@ fn without_canonicalization_the_channel_exists() {
     assert_eq!(sneaky.plaintext(&doc_id), Some("base document"));
 }
 
+/// Without canonicalization the client's delta is sent as it is. One
+/// that cuts characters is accepted exactly when its result is text, and
+/// a refused one changes neither mirror.
+#[test]
+fn uncanonicalized_deltas_that_cut_characters_are_checked_exactly() {
+    let mut config = MediatorConfig::recb(8);
+    config.canonicalize_deltas = false;
+    let (server, mut mediator) = mediator(config, 16);
+    let doc_id = mediator.create_document("pw").unwrap();
+    mediator.save_full(&doc_id, "é😀日日éé").unwrap();
+    let before = server.stored_content(&doc_id).unwrap();
+    // Cutting é in two leaves no text.
+    assert!(mediator.save_delta(&doc_id, &Delta::parse("=1\t-1").unwrap()).is_err());
+    assert_eq!(mediator.plaintext(&doc_id), Some("é😀日日éé"));
+    assert_eq!(server.stored_content(&doc_id).unwrap(), before);
+    // Two cuts that meet: the lead byte of one 日 and the last byte of the
+    // next make a new character.
+    mediator.save_delta(&doc_id, &Delta::parse("=7\t-1\t=1\t-2").unwrap()).unwrap();
+    assert_eq!(mediator.plaintext(&doc_id), Some("é😀\u{6965}éé"));
+    let mut reader = DocsMediator::with_rng(
+        Arc::clone(&server),
+        MediatorConfig::recb(8),
+        CtrDrbg::from_seed(17),
+    );
+    reader.register_password(&doc_id, "pw");
+    assert_eq!(reader.open_document(&doc_id).unwrap(), "é😀\u{6965}éé");
+}
+
 #[test]
 fn hardened_config_pads_and_delays() {
     let config = MediatorConfig::recb(8).hardened();

@@ -47,7 +47,7 @@ proptest! {
     #[test]
     fn mediator_session_invariants(
         initial in "[a-z ]{0,80}",
-        edits in proptest::collection::vec(raw_edit(), 1..15),
+        saves in proptest::collection::vec(proptest::collection::vec(raw_edit(), 1..4), 1..10),
         rpc in any::<bool>(),
         seed in any::<u64>(),
     ) {
@@ -58,9 +58,15 @@ proptest! {
         let doc_id = mediator.create_document("prop-pw").unwrap();
         mediator.save_full(&doc_id, &initial).unwrap();
         let mut model = initial.clone();
-        for raw in &edits {
-            let delta = resolve(raw, &model);
-            model = delta.apply(&model).unwrap();
+        for edits in &saves {
+            // Several edits in one save: the canonical delta carries one
+            // hunk per differing stretch, end to end.
+            let mut delta = Delta::new();
+            for raw in edits {
+                let edit = resolve(raw, &model);
+                edit.apply_in_place(&mut model).unwrap();
+                delta = delta.compose(&edit);
+            }
             mediator.save_delta(&doc_id, &delta).unwrap();
             // Invariant 1: the mediator's view tracks the model.
             prop_assert_eq!(mediator.plaintext(&doc_id), Some(model.as_str()));

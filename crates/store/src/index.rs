@@ -8,28 +8,42 @@
 //! front of it.
 //!
 //! Only the latest content is kept whole. Every earlier version is kept
-//! as its difference from the next-newer one — the common prefix and
-//! suffix lengths plus the bytes between — so an incremental save
-//! retains about the bytes it changed, not a copy of the document.
-//! [`Index::get`] and [`Index::snapshot_docs`] rebuild full revisions;
-//! every other read touches only the latest content.
+//! as its difference from the next-newer one: for each hunk, where it
+//! sits in the newer version, how long it is there, and the bytes it
+//! replaced. A delta save splices the latest content in place
+//! ([`Index::check_delta`], then [`Index::apply_checked`]) and keeps one
+//! hunk per edit, so it retains about the bytes it removed — two small
+//! edits far apart stay two small hunks. A full save keeps one hunk, the
+//! span between the longest common prefix and suffix of the two
+//! versions. [`Index::get`] and [`Index::snapshot_docs`] rebuild full
+//! revisions; every other read touches only the latest content.
 
 use std::collections::HashMap;
 
 use parking_lot::{Mutex, RwLock};
+use pe_delta::{seams_are_utf8, Delta, Hunk};
 
-use crate::DocState;
+use crate::{DeltaLimits, DocState, StoreError};
 
 /// Default shard count (a power of two keeps the modulo cheap).
 pub const DEFAULT_SHARDS: usize = 16;
 
-/// A past version stored against the next-newer one: that version's
-/// first `prefix` and last `suffix` bytes with `middle` between them.
-#[derive(Debug, Clone)]
+/// A past version stored against the next-newer one: the newer
+/// version with each span replaced by its removed bytes.
+#[derive(Debug, Clone, Default)]
 struct Revision {
-    prefix: usize,
-    suffix: usize,
-    middle: Vec<u8>,
+    spans: Vec<Span>,
+    /// The bytes every span replaced, concatenated in order.
+    removed: Vec<u8>,
+}
+
+/// One hunk of a [`Revision`]: `len` bytes at `at` of the newer version
+/// took the place of the next `removed` bytes of [`Revision::removed`].
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    at: usize,
+    len: usize,
+    removed: usize,
 }
 
 /// Comparison stride for the prefix/suffix scans: slice equality over a
@@ -58,13 +72,14 @@ fn common_suffix(a: &[u8], b: &[u8]) -> usize {
 }
 
 impl Revision {
-    /// `old` as a difference from `newer`. The suffix never overlaps the
-    /// prefix, so `aaa` against `aa` keeps one byte in `middle`.
+    /// `old` as a difference from `newer`: one span between their common
+    /// prefix and suffix. The suffix never overlaps the prefix, so `aaa`
+    /// against `aa` keeps one byte.
     fn between(old: Vec<u8>, newer: &[u8]) -> Revision {
         let prefix = common_prefix(&old, newer);
         let suffix = common_suffix(&old[prefix..], &newer[prefix..]);
         let kept = old.len() - prefix - suffix;
-        let middle = if kept * 4 >= old.len() * 3 {
+        let removed = if kept * 4 >= old.len() * 3 {
             // Mostly changed (a full save re-seals every block): trim the
             // old buffer in place instead of copying it out.
             let mut old = old;
@@ -74,13 +89,70 @@ impl Revision {
         } else {
             old[prefix..prefix + kept].to_vec()
         };
-        Revision { prefix, suffix, middle }
+        let span = Span { at: prefix, len: newer.len() - prefix - suffix, removed: kept };
+        Revision { spans: vec![span], removed }
     }
 
     /// The full version, given the next-newer one.
     fn rebuild(&self, newer: &[u8]) -> Vec<u8> {
-        [&newer[..self.prefix], &self.middle, &newer[newer.len() - self.suffix..]].concat()
+        let replaced: usize = self.spans.iter().map(|s| s.len).sum();
+        let mut out = Vec::with_capacity(newer.len() - replaced + self.removed.len());
+        let (mut cursor, mut taken) = (0, 0);
+        for span in &self.spans {
+            out.extend_from_slice(&newer[cursor..span.at]);
+            out.extend_from_slice(&self.removed[taken..taken + span.removed]);
+            taken += span.removed;
+            cursor = span.at + span.len;
+        }
+        out.extend_from_slice(&newer[cursor..]);
+        out
     }
+
+    /// Splices `hunks` into `content` in place and returns the revision
+    /// that rebuilds the content as it was. The bytes before the first
+    /// hunk stay where they are.
+    fn splice(content: &mut Vec<u8>, hunks: &[Hunk<'_>]) -> Revision {
+        let Some(first) = hunks.first() else {
+            return Revision::default();
+        };
+        let base = first.at;
+        let tail = content.split_off(base);
+        let mut revision = Revision { spans: Vec::with_capacity(hunks.len()), removed: Vec::new() };
+        let mut cursor = base;
+        for hunk in hunks {
+            content.extend_from_slice(&tail[cursor - base..hunk.at - base]);
+            let at = content.len();
+            hunk.inserted().for_each(|text| content.extend_from_slice(text.as_bytes()));
+            cursor = hunk.at + hunk.removed;
+            revision.removed.extend_from_slice(&tail[hunk.at - base..cursor - base]);
+            revision.spans.push(Span { at, len: content.len() - at, removed: hunk.removed });
+        }
+        content.extend_from_slice(&tail[cursor - base..]);
+        revision
+    }
+}
+
+/// Rejects the apply when a [`DeltaLimits::base_version`] precondition
+/// does not match the document's current version. Callers must hold
+/// their writer lock so the check is atomic with the write.
+fn check_base_version(current: u64, limits: DeltaLimits) -> Result<(), StoreError> {
+    match limits.base_version {
+        Some(base) if base != current => Err(StoreError::Conflict(format!(
+            "delta base version {base} is stale (document at {current})"
+        ))),
+        _ => Ok(()),
+    }
+}
+
+/// A delta [`Index::check_delta`] accepted, ready for
+/// [`Index::apply_checked`].
+#[derive(Debug)]
+pub struct CheckedDelta<'d> {
+    hunks: Vec<Hunk<'d>>,
+    /// Whether the result is known to be valid UTF-8.
+    utf8: bool,
+    /// The version the splice produces.
+    pub version: u64,
 }
 
 /// One document as the index holds it.
@@ -88,12 +160,20 @@ impl Revision {
 struct Entry {
     content: Vec<u8>,
     version: u64,
+    /// Whether `content` is known to be valid UTF-8 (false when unknown):
+    /// a delta on known text checks only the characters it touches.
+    utf8: bool,
     /// Oldest first; each rebuilds from its successor (the newest from
     /// `content`).
     revisions: Vec<Revision>,
 }
 
 impl Entry {
+    fn new(content: Vec<u8>, version: u64, revisions: Vec<Revision>) -> Entry {
+        let utf8 = std::str::from_utf8(&content).is_ok();
+        Entry { content, version, utf8, revisions }
+    }
+
     fn from_state(state: DocState) -> Entry {
         let DocState { content, version, mut revisions } = state;
         let mut diffs = Vec::with_capacity(revisions.len());
@@ -101,7 +181,7 @@ impl Entry {
             let old = std::mem::take(&mut revisions[i]);
             diffs.push(Revision::between(old, revisions.get(i + 1).unwrap_or(&content)));
         }
-        Entry { content, version, revisions: diffs }
+        Entry::new(content, version, diffs)
     }
 
     /// The full state, every revision rebuilt.
@@ -200,19 +280,71 @@ impl Index {
         let mut shard = self.shard(id).write();
         match shard.get_mut(id) {
             Some(doc) => {
+                doc.utf8 = std::str::from_utf8(&content).is_ok();
                 let previous = std::mem::replace(&mut doc.content, content);
                 doc.revisions.push(Revision::between(previous, &doc.content));
                 doc.version += 1;
                 doc.version
             }
             None => {
-                shard.insert(
-                    id.to_string(),
-                    Entry { content, version: 1, revisions: Vec::new() },
-                );
+                shard.insert(id.to_string(), Entry::new(content, 1, Vec::new()));
                 1
             }
         }
+    }
+
+    /// Checks a byte-counted delta against the document without changing
+    /// anything: the [`DeltaLimits::base_version`] precondition, the
+    /// delta's bounds, the resulting size, and — under
+    /// [`DeltaLimits::require_utf8`] — that the result is text. It
+    /// rejects exactly the deltas a check of the whole result would, but
+    /// on content known to be text it reads only the characters the
+    /// edits touch. The caller must hold its writer lock until
+    /// [`Index::apply_checked`].
+    pub fn check_delta<'d>(
+        &self,
+        id: &str,
+        delta: &'d Delta,
+        limits: DeltaLimits,
+    ) -> Result<CheckedDelta<'d>, StoreError> {
+        let shard = self.shard(id).read();
+        let entry = shard.get(id).ok_or(StoreError::NoSuchDocument)?;
+        check_base_version(entry.version, limits)?;
+        let old = &entry.content;
+        let hunks = delta.hunks(old.len()).map_err(|e| StoreError::Conflict(e.to_string()))?;
+        let removed: usize = hunks.iter().map(|h| h.removed).sum();
+        let len = old.len() - removed + hunks.iter().map(Hunk::inserted_len).sum::<usize>();
+        if len > limits.max_len {
+            return Err(StoreError::TooLarge { len, max: limits.max_len });
+        }
+        let utf8 = if entry.utf8 {
+            seams_are_utf8(old, &hunks)
+        } else if limits.require_utf8 {
+            // Content not known to be text: check the whole result.
+            let mut updated = old.clone();
+            Revision::splice(&mut updated, &hunks);
+            std::str::from_utf8(&updated).is_ok()
+        } else {
+            false
+        };
+        if limits.require_utf8 && !utf8 {
+            return Err(StoreError::InvalidUtf8);
+        }
+        Ok(CheckedDelta { hunks, utf8, version: entry.version + 1 })
+    }
+
+    /// Splices a delta [`Index::check_delta`] accepted into the content in
+    /// place, keeping the bytes it removed as the previous version's
+    /// revision. Returns the new version.
+    pub fn apply_checked(&self, id: &str, checked: CheckedDelta<'_>) -> u64 {
+        let mut shard = self.shard(id).write();
+        let doc = shard.get_mut(id).expect("checked under the same writer lock");
+        let revision = Revision::splice(&mut doc.content, &checked.hunks);
+        doc.revisions.push(revision);
+        doc.utf8 = checked.utf8;
+        doc.version += 1;
+        debug_assert_eq!(doc.version, checked.version);
+        doc.version
     }
 
     /// Installs a complete state verbatim (snapshot load).
@@ -323,10 +455,30 @@ mod tests {
         index.apply_save("d", edited.clone());
         let shard = index.shard("d").read();
         let revisions = &shard["d"].revisions;
-        assert_eq!(revisions[0].middle.len(), 0, "the empty first version");
-        assert_eq!(revisions[1].middle.len(), 4, "only the replaced bytes are kept");
+        assert_eq!(revisions[0].removed.len(), 0, "the empty first version");
+        assert_eq!(revisions[1].removed.len(), 4, "only the replaced bytes are kept");
         drop(shard);
         assert_eq!(index.get("d").unwrap().revisions, vec![Vec::new(), base]);
+    }
+
+    #[test]
+    fn a_two_hunk_save_keeps_a_small_revision() {
+        let index = Index::new(1);
+        let base: Vec<u8> = (0..32 * 1024).map(|i| b'a' + (i % 26) as u8).collect();
+        index.apply_save("d", base.clone());
+        // Two small edits 16 KiB apart, in one delta.
+        let delta = Delta::parse("=8192\t-27\t+ABC\t=16384\t+DEF").unwrap();
+        let checked = index.check_delta("d", &delta, DeltaLimits::none()).unwrap();
+        assert_eq!(index.apply_checked("d", checked), 2);
+        let shard = index.shard("d").read();
+        let revision = shard["d"].revisions.last().unwrap();
+        let kept = revision.removed.len() + revision.spans.len() * std::mem::size_of::<Span>();
+        assert!(kept < 1024, "a two-hunk revision keeps {kept} bytes");
+        assert_eq!(revision.removed, &base[8192..8192 + 27]);
+        drop(shard);
+        let state = index.get("d").unwrap();
+        assert_eq!(state.revisions.last().unwrap(), &base);
+        assert_eq!(state.content, delta.apply_bytes(&base).unwrap());
     }
 
     #[test]
@@ -350,8 +502,8 @@ mod tests {
         // A mostly-changed revision keeps the old buffer, trimmed.
         let (old, newer) = (b"<ABCDEFGH>".to_vec(), b"<abcdefgh>".to_vec());
         let revision = Revision::between(old.clone(), &newer);
-        assert_eq!((revision.prefix, revision.suffix), (1, 1));
-        assert_eq!(revision.middle, b"ABCDEFGH");
+        assert_eq!((revision.spans[0].at, revision.spans[0].len), (1, 8));
+        assert_eq!(revision.removed, b"ABCDEFGH");
         assert_eq!(revision.rebuild(&newer), old);
     }
 

@@ -38,7 +38,6 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use crate::index::{Index, DEFAULT_SHARDS};
-use crate::mem::{apply_delta_checked, check_base_version};
 use crate::record::Record;
 use crate::snapfile;
 use crate::wal::{self, AppendAck, FsyncPolicy, GroupWal, SegmentWriter};
@@ -367,10 +366,8 @@ fn apply_record(index: &Index, record: &Record) {
         Record::Delta { id, version, delta } => {
             if index.version(id).is_none_or(|v| *version > v) {
                 if let Ok(parsed) = pe_delta::Delta::parse(delta) {
-                    if let Some(current) = index.content(id) {
-                        if let Ok(updated) = parsed.apply_bytes(&current) {
-                            index.apply_save(id, updated);
-                        }
+                    if let Ok(checked) = index.check_delta(id, &parsed, DeltaLimits::none()) {
+                        index.apply_checked(id, checked);
                     }
                 }
             }
@@ -547,21 +544,18 @@ impl DocStore for LogStore {
     ) -> Result<DocState, StoreError> {
         self.check()?;
         let started = std::time::Instant::now();
-        let (ack, updated, version) = {
+        let (ack, content, version) = {
             let _writers = self.inner.write_lock.lock();
-            let current = self.inner.index.content(id).ok_or(StoreError::NoSuchDocument)?;
-            check_base_version(self.inner.index.version(id).unwrap_or(0), limits)?;
-            let updated = apply_delta_checked(&current, delta, limits)?;
-            let version = self.inner.index.version(id).unwrap_or(0) + 1;
+            let checked = self.inner.index.check_delta(id, delta, limits)?;
+            let version = checked.version;
             let record =
                 Record::Delta { id: id.to_string(), version, delta: delta.serialize() };
             let ack = self.commit_locked(&record)?;
-            let applied = self.inner.index.apply_save(id, updated.clone());
-            debug_assert_eq!(applied, version);
-            (ack, updated, version)
+            self.inner.index.apply_checked(id, checked);
+            (ack, self.inner.index.content(id).unwrap_or_default(), version)
         };
         self.finish_commit(ack, started)?;
-        Ok(DocState { content: updated, version, revisions: Vec::new() })
+        Ok(DocState { content, version, revisions: Vec::new() })
     }
 
     fn remove(&self, id: &str) -> Result<bool, StoreError> {

@@ -30,36 +30,6 @@ impl Default for MemStore {
     }
 }
 
-/// Rejects the apply when a [`DeltaLimits::base_version`] precondition
-/// does not match the document's current version. Callers must hold
-/// their writer lock so the check is atomic with the write.
-pub(crate) fn check_base_version(current: u64, limits: DeltaLimits) -> Result<(), StoreError> {
-    match limits.base_version {
-        Some(base) if base != current => Err(StoreError::Conflict(format!(
-            "delta base version {base} is stale (document at {current})"
-        ))),
-        _ => Ok(()),
-    }
-}
-
-/// Applies a delta against `current` under `limits`, shared by both
-/// backends so their error behaviour is byte-identical.
-pub(crate) fn apply_delta_checked(
-    current: &[u8],
-    delta: &pe_delta::Delta,
-    limits: DeltaLimits,
-) -> Result<Vec<u8>, StoreError> {
-    let updated =
-        delta.apply_bytes(current).map_err(|e| StoreError::Conflict(e.to_string()))?;
-    if updated.len() > limits.max_len {
-        return Err(StoreError::TooLarge { len: updated.len(), max: limits.max_len });
-    }
-    if limits.require_utf8 && std::str::from_utf8(&updated).is_err() {
-        return Err(StoreError::InvalidUtf8);
-    }
-    Ok(updated)
-}
-
 impl DocStore for MemStore {
     fn get(&self, id: &str) -> Option<DocState> {
         self.index.get(id)
@@ -97,11 +67,10 @@ impl DocStore for MemStore {
         limits: DeltaLimits,
     ) -> Result<DocState, StoreError> {
         let _writers = self.write_lock.lock();
-        let current = self.index.content(id).ok_or(StoreError::NoSuchDocument)?;
-        check_base_version(self.index.version(id).unwrap_or(0), limits)?;
-        let updated = apply_delta_checked(&current, delta, limits)?;
-        let version = self.index.apply_save(id, updated.clone());
-        Ok(DocState { content: updated, version, revisions: Vec::new() })
+        let checked = self.index.check_delta(id, delta, limits)?;
+        let version = self.index.apply_checked(id, checked);
+        let content = self.index.content(id).unwrap_or_default();
+        Ok(DocState { content, version, revisions: Vec::new() })
     }
 
     fn remove(&self, id: &str) -> Result<bool, StoreError> {

@@ -1,9 +1,9 @@
 //! The revision history the index keeps as differences, checked against
-//! a plain `Vec<Vec<u8>>` history model: every full save, delta, and
-//! shape that stresses a prefix/suffix representation (identical
-//! consecutive contents, a content that is a prefix or suffix of the
-//! next, runs of one repeated byte, empty documents), through snapshot
-//! install and reopen.
+//! a plain `Vec<Vec<u8>>` history model: every full save, delta (one
+//! hunk or several), and shape that stresses a prefix/suffix
+//! representation (identical consecutive contents, a content that is a
+//! prefix or suffix of the next, runs of one repeated byte, empty
+//! documents), through snapshot install, log replay and reopen.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -11,7 +11,7 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 
 use pe_delta::Delta;
-use pe_store::{DeltaLimits, DocState, DocStore, LogStore, MemStore, StoreConfig};
+use pe_store::{DeltaLimits, DocState, DocStore, LogStore, MemStore, StoreConfig, StoreError};
 
 struct TempDir(PathBuf);
 
@@ -70,6 +70,10 @@ enum Op {
     /// Replace `del` bytes at `at` (both taken modulo the length) by
     /// `text`, as an incremental delta.
     Delta(usize, usize, usize, String),
+    /// Several `(at, del, text)` replaces in one delta, at ascending
+    /// positions (each `at` taken modulo the length, moved past the
+    /// previous hunk).
+    Hunks(usize, Vec<(usize, usize, String)>),
     /// Save the current content again.
     Same(usize),
     /// The current content becomes a prefix of the next one.
@@ -95,6 +99,8 @@ fn op() -> impl Strategy<Value = Op> {
         (doc.clone(), bytes()).prop_map(|(d, b)| Op::Full(d, b)),
         (doc.clone(), any::<usize>(), 0usize..6, "[ab]{0,6}")
             .prop_map(|(d, at, del, text)| Op::Delta(d, at, del, text)),
+        (doc.clone(), proptest::collection::vec((any::<usize>(), 0usize..4, "[ab]{0,3}"), 2..5))
+            .prop_map(|(d, hunks)| Op::Hunks(d, hunks)),
         doc.clone().prop_map(Op::Same),
         (doc.clone(), bytes()).prop_map(|(d, b)| Op::Extend(d, b)),
         (doc.clone(), bytes()).prop_map(|(d, b)| Op::Prepend(d, b)),
@@ -178,7 +184,7 @@ proptest! {
                     (*d, current)
                 }
                 Op::Empty(d) => (*d, Vec::new()),
-                Op::Delta(d, at, del, text) => {
+                Op::Delta(d, ..) | Op::Hunks(d, _) => {
                     let id = format!("doc{d}");
                     let Some(history) = model.get_mut(&id) else {
                         // Deltas need an existing document; both stores agree.
@@ -186,11 +192,20 @@ proptest! {
                         prop_assert!(log.apply_delta(&id, &delta, DeltaLimits::none()).is_err());
                         continue;
                     };
+                    let hunks = match &op {
+                        Op::Delta(_, at, del, text) => vec![(*at, *del, text.clone())],
+                        Op::Hunks(_, hunks) => hunks.clone(),
+                        _ => unreachable!("matched above"),
+                    };
                     let len = history.current().len();
-                    let at = at % (len + 1);
-                    let del = (*del).min(len - at);
                     let mut builder = Delta::builder();
-                    builder.retain(at).delete(del).insert(text);
+                    let mut cursor = 0;
+                    for (at, del, text) in hunks {
+                        let at = (at % (len + 1)).max(cursor);
+                        let del = del.min(len - at);
+                        builder.retain(at - cursor).delete(del).insert(&text);
+                        cursor = at + del;
+                    }
                     let delta = builder.build();
                     let next = delta.apply_bytes(history.current()).unwrap();
                     let state = log.apply_delta(&id, &delta, DeltaLimits::none()).unwrap();
@@ -216,4 +231,52 @@ proptest! {
         let reopened = LogStore::open(&dir.0, StoreConfig::default()).unwrap();
         check(&[&reopened], &model)?;
     }
+}
+
+/// The store checks UTF-8 only around each splice, yet accepts and
+/// refuses exactly what a check of the whole result would.
+#[test]
+fn utf8_checks_around_the_splice_match_the_whole_content_check() {
+    let dir = TempDir::new("utf8");
+    let log = LogStore::open(&dir.0, StoreConfig::default()).unwrap();
+    let mem = MemStore::new();
+    let text = DeltaLimits { require_utf8: true, ..DeltaLimits::none() };
+    for store in [&log as &dyn DocStore, &mem] {
+        store.put_full("d", "é".as_bytes()).unwrap();
+        // A delta that cuts the two-byte character is refused...
+        for cut in ["=1\t-1", "-1", "=1\t+x", "=1\t-1\t+è"] {
+            let delta = Delta::parse(cut).unwrap();
+            assert!(
+                matches!(store.apply_delta("d", &delta, text), Err(StoreError::InvalidUtf8)),
+                "{cut:?} on {}",
+                store.name()
+            );
+        }
+        // ...one whose splice leaves the character whole is not.
+        let whole = Delta::parse("=1\t+\t=1").unwrap();
+        assert_eq!(store.apply_delta("d", &whole, text).unwrap().content, "é".as_bytes());
+        // Two cuts that meet end to end: the lead byte of one 日 and the
+        // last byte of the next make a new character.
+        store.put_full("f", "é😀日日éé".as_bytes()).unwrap();
+        let joined = Delta::parse("=7\t-1\t=1\t-2").unwrap();
+        let content = store.apply_delta("f", &joined, text).unwrap().content;
+        assert_eq!(content, "é😀\u{6965}éé".as_bytes(), "{}", store.name());
+        // Content that is not text (written without the requirement)
+        // fails every text delta, wherever it lands, until one repairs it.
+        store.put_full("e", "ab日".as_bytes()).unwrap();
+        let broken = Delta::parse("=2\t-1").unwrap();
+        store.apply_delta("e", &broken, DeltaLimits::none()).unwrap();
+        let elsewhere = Delta::parse("+x").unwrap();
+        assert!(matches!(store.apply_delta("e", &elsewhere, text), Err(StoreError::InvalidUtf8)));
+        let repair = Delta::parse("=2\t-2\t+!").unwrap();
+        assert_eq!(store.apply_delta("e", &repair, text).unwrap().content, b"ab!");
+        assert_eq!(store.apply_delta("e", &elsewhere, text).unwrap().content, b"xab!");
+    }
+    // The log replays every one of them.
+    drop(log);
+    let reopened = LogStore::open(&dir.0, StoreConfig::default()).unwrap();
+    assert_eq!(reopened.get("d"), mem.get("d"));
+    assert_eq!(reopened.get("e"), mem.get("e"));
+    assert_eq!(reopened.get("f"), mem.get("f"));
+    assert_eq!(reopened.current("e"), Some((b"xab!".to_vec(), 4)));
 }

@@ -22,6 +22,11 @@ echo "== pebench: smoke run and tests =="
 cargo run --release --offline --manifest-path pebench/Cargo.toml -- --smoke
 cargo test --offline --manifest-path pebench/Cargo.toml
 
+echo "== paper experiments (quick) =="
+# Fig. 5/8 and the §VII-A functionality matrix run through the default,
+# canonicalising mediator; no other step drives them end to end.
+cargo run --release --offline -p pe-bench --bin all_experiments quick
+
 echo "== forced-backend crypto matrix =="
 # The whole crypto + core suite must pass under every forced AES backend
 # so AES-NI hosts still exercise the reference fallback. The aesni pass
