@@ -6,7 +6,7 @@ use pe_cloud::{CloudService, Request, Response};
 use pe_crypto::form;
 use pe_crypto::hex;
 use pe_crypto::sha256::Sha256;
-use pe_delta::{diff, Delta, Side};
+use pe_delta::{diff, Delta, DeltaError, Side};
 use pe_extension::{DocsMediator, ExtensionError};
 
 use crate::editor::Editor;
@@ -78,8 +78,9 @@ pub struct DocsClient<C> {
     channel: C,
     doc_id: String,
     editor: Editor,
-    /// Content as of the last successful synchronization with the server
-    /// (the base the editor's pending delta applies to).
+    /// The base the editor's pending delta applies to: the content as of
+    /// the last save the server accepted or change folded from it.
+    /// `pending.apply(synced) == content` holds throughout.
     synced: String,
     sent_full_save: bool,
     /// Set when the server rejected a save, or acknowledged one with a
@@ -215,11 +216,11 @@ impl<C: Channel> DocsClient<C> {
     ///
     /// Returns the delta error when `foreign` does not apply to the sync
     /// point (the stream and the session disagree about the base — the
-    /// caller should fall back to a full resync). State is untouched.
-    pub fn apply_foreign_delta(&mut self, foreign: &Delta) -> Result<(), pe_delta::DeltaError> {
-        let new_synced = foreign.apply(&self.synced)?;
+    /// caller should fall back to a full resync) or cuts one of its
+    /// characters. State is untouched.
+    pub fn apply_foreign_delta(&mut self, foreign: &Delta) -> Result<(), DeltaError> {
+        self.rebase_onto(foreign)?;
         pe_observe::static_counter!("client.foreign_deltas").inc();
-        self.rebase_onto(foreign, new_synced);
         Ok(())
     }
 
@@ -245,36 +246,42 @@ impl<C: Channel> DocsClient<C> {
             return;
         }
         let foreign = diff(&self.synced, server_content);
-        self.rebase_onto(&foreign, server_content.to_string());
+        self.rebase_onto(&foreign).expect("the diff of the sync point applies to it");
     }
 
-    /// The one rebase routine behind both resync paths: moves the sync
-    /// point over `foreign` (a change the server applied to `synced`,
-    /// yielding `new_synced`) and rebases the pending delta — exactly the
-    /// unsent edits — over it.
-    fn rebase_onto(&mut self, foreign: &Delta, new_synced: String) {
-        let base_len = self.synced.chars().count();
-        let rebased = match self.editor.pending().transform(foreign, base_len, Side::Right) {
-            Ok(rebased) => rebased,
-            // Two deltas over their common base always transform;
-            // defensively drop local edits rather than diverging from
-            // the server.
-            Err(_) => {
-                pe_observe::static_counter!("client.merge_transform_failures").inc();
-                Delta::new()
-            }
-        };
-        self.editor.reset(&new_synced);
+    /// The one rebase routine behind both resync paths: folds `foreign`
+    /// (a change the server applied to `synced`) into the sync point in
+    /// place and rebases the pending delta — exactly the unsent edits —
+    /// over it.
+    ///
+    /// A foreign edit must sit on character boundaries of the sync point:
+    /// one that cuts characters, even where the result is text, could
+    /// rebase a pending edit into the middle of a character.
+    ///
+    /// # Errors
+    ///
+    /// Returns the delta error when `foreign` does not fit the sync point
+    /// or cuts one of its characters; nothing changes.
+    fn rebase_onto(&mut self, foreign: &Delta) -> Result<(), DeltaError> {
+        let len = self.synced.len();
+        let cuts = |at: usize| !self.synced.is_char_boundary(at);
+        let hunks = foreign.hunks(len)?;
+        if let Some(cut) = hunks.iter().find(|h| cuts(h.at) || cuts(h.at + h.removed)) {
+            return Err(DeltaError::SplitsCharacter { position: cut.at });
+        }
+        let rebased = self.editor.pending().transform(foreign, len, Side::Right)?;
+        foreign.apply_in_place(&mut self.synced)?;
+        self.editor.reset(&self.synced);
         if !rebased.is_identity() {
             pe_observe::static_counter!("client.merges").inc();
             self.editor.apply(rebased);
         }
-        self.synced = new_synced;
         // The server already holds the new base; stay incremental. Its
         // version is unknown until the caller reports it.
         self.sent_full_save = true;
         self.base_version = None;
         self.needs_resync = false;
+        Ok(())
     }
 
     fn local_hash(&self) -> String {
@@ -320,8 +327,12 @@ impl<C: Channel> DocsClient<C> {
             pe_observe::static_counter!("client.save_conflicts").inc();
             return (SaveOutcome::Conflict, response.status);
         }
-        // The server holds the edits now (a full save folds them in).
-        self.editor.take_pending();
+        // The server holds the edits now, whichever form of save carried
+        // them: the sync point advances in place by what was just sent,
+        // to the editor's content.
+        let sent = self.editor.take_pending();
+        sent.apply_in_place(&mut self.synced).expect("the pending delta fits the sync point");
+        debug_assert_eq!(self.synced, self.editor.content(), "pending.apply(synced) != text");
         self.sent_full_save = true;
         let body = response.body_text().unwrap_or("");
         let pairs = form::parse_pairs(body).unwrap_or_default();
@@ -335,7 +346,6 @@ impl<C: Channel> DocsClient<C> {
         let based = self.base_version.is_some() && ack_hash.is_none();
         let ack_hash = ack_hash.unwrap_or("");
         if based || ack_hash == "0" || ack_hash == self.local_hash() {
-            self.synced = self.editor.content().to_string();
             if self.base_version.is_some() {
                 self.base_version = self.last_ack_version;
             }
@@ -493,6 +503,29 @@ mod tests {
     }
 
     #[test]
+    fn typing_after_an_ack_conflict_survives_the_merge() {
+        let server = Arc::new(DocsServer::new());
+        let doc_id = new_doc(&server);
+        let mut alice =
+            DocsClient::open(DirectChannel(Arc::clone(&server)), &doc_id).unwrap();
+        alice.editor().insert(0, "alice. ");
+        assert_eq!(alice.save(), SaveOutcome::Saved);
+        let mut bob = DocsClient::open(DirectChannel(Arc::clone(&server)), &doc_id).unwrap();
+        assert_eq!(bob.save(), SaveOutcome::Saved);
+        alice.editor().insert(7, "more. ");
+        assert_eq!(alice.save(), SaveOutcome::Saved);
+        bob.editor().insert(7, "bob. ");
+        // The save lands, but its Ack hash shows Alice's text too. Bob
+        // types on before he merges the server's content.
+        assert_eq!(bob.save(), SaveOutcome::Conflict);
+        bob.editor().insert(12, "!");
+        bob.merge_server_content(&server.stored_content(&doc_id).unwrap());
+        assert_eq!(bob.content(), "alice. bob. more. !");
+        assert_eq!(bob.save(), SaveOutcome::Saved);
+        assert_eq!(server.stored_content(&doc_id).unwrap(), "alice. bob. more. !");
+    }
+
+    #[test]
     fn refresh_pulls_server_state() {
         let server = Arc::new(DocsServer::new());
         let doc_id = new_doc(&server);
@@ -571,6 +604,24 @@ mod tests {
         assert!(client.apply_foreign_delta(&foreign).is_err());
         // State is untouched — the caller resyncs instead.
         assert_eq!(client.content(), "abc");
+    }
+
+    #[test]
+    fn a_foreign_delta_that_cuts_a_character_is_refused() {
+        let server = Arc::new(DocsServer::new());
+        let doc_id = new_doc(&server);
+        let mut client =
+            DocsClient::open(DirectChannel(Arc::clone(&server)), &doc_id).unwrap();
+        client.editor().insert(0, "日日");
+        assert_eq!(client.save(), SaveOutcome::Saved);
+        client.editor().insert(3, "x");
+        // The result is text (the bytes left of the two 日 join into one),
+        // but the pending insert between them would land inside it.
+        let cut = Delta::parse("=2\t-3").unwrap();
+        assert_eq!(cut.apply("日日").unwrap(), "日");
+        let refused = client.apply_foreign_delta(&cut);
+        assert_eq!(refused, Err(DeltaError::SplitsCharacter { position: 2 }));
+        assert_eq!(client.content(), "日x日");
     }
 
     /// Counts the requests that reach the server.

@@ -28,8 +28,8 @@ pub fn self_replace_bit(content: &str, bit: bool) -> Delta {
     if !bit || content.is_empty() {
         return Delta::new();
     }
-    let first: String = content.chars().take(1).collect();
-    Delta::from_ops(vec![DeltaOp::Delete(first.len()), DeltaOp::Insert(first)])
+    let first = &content[..content.ceil_char_boundary(1)];
+    Delta::from_ops(vec![DeltaOp::Delete(first.len()), DeltaOp::Insert(first.into())])
 }
 
 /// The malicious server's observer for the edit-pattern channel: compares

@@ -55,7 +55,10 @@ fn join_in_process(live: &Arc<LiveDocs>, doc: &str, name: &str) -> InProcSession
 
 /// Saves and polls both sessions until neither has pending work, then
 /// asserts byte-for-byte convergence.
-fn drain_and_assert_converged(a: &mut InProcSession, b: &mut InProcSession) {
+fn drain_and_assert_converged<C: Channel, P: Channel>(
+    a: &mut LiveSession<C, P>,
+    b: &mut LiveSession<C, P>,
+) {
     for _ in 0..24 {
         let a_saved = a.save();
         let b_saved = b.save();
@@ -140,6 +143,52 @@ fn a_rebase_keeps_a_collaborators_delete() {
     assert_eq!(alice.content(), "1AAAA CCCC2");
     assert_eq!(bob.content(), "1AAAA CCCC2");
     assert_eq!(live.docs().stored_content(&doc).unwrap(), "1AAAA CCCC2");
+}
+
+#[test]
+fn a_foreign_insert_after_a_multi_byte_character_lands_where_it_was_typed() {
+    let live = LiveDocs::new(Arc::new(DocsServer::new()));
+    let doc = create_doc(&*live);
+    let mut alice = join_in_process(&live, &doc, "alice");
+    let mut bob = join_in_process(&live, &doc, "bob");
+    alice.client().editor().insert(0, "café au lait");
+    assert_eq!(alice.save(), SaveOutcome::Saved);
+    assert_eq!(bob.step(Duration::ZERO).unwrap().applied, 1);
+
+    // Byte 5 is right after the two bytes of é.
+    alice.client().editor().insert(5, "!");
+    assert_eq!(alice.save(), SaveOutcome::Saved);
+    let outcome = bob.step(Duration::ZERO).unwrap();
+    assert_eq!((outcome.applied, outcome.resynced), (1, false));
+
+    let expected = "café! au lait";
+    assert_eq!(alice.content(), expected);
+    assert_eq!(bob.content(), expected);
+    assert_eq!(live.docs().stored_content(&doc).unwrap(), expected);
+}
+
+#[test]
+fn a_pending_edit_moves_by_the_bytes_a_collaborator_inserted() {
+    let live = LiveDocs::new(Arc::new(DocsServer::new()));
+    let doc = create_doc(&*live);
+    let mut alice = join_in_process(&live, &doc, "alice");
+    let mut bob = join_in_process(&live, &doc, "bob");
+    alice.client().editor().insert(0, "abc");
+    assert_eq!(alice.save(), SaveOutcome::Saved);
+    assert_eq!(bob.step(Duration::ZERO).unwrap().applied, 1);
+
+    // Bob appends while Alice prepends a two-byte character.
+    bob.client().editor().insert(3, "!");
+    alice.client().editor().insert(0, "é");
+    assert_eq!(alice.save(), SaveOutcome::Saved);
+    assert_eq!(bob.step(Duration::ZERO).unwrap().applied, 1);
+    assert_eq!(bob.save(), SaveOutcome::Saved);
+    assert_eq!(alice.step(Duration::ZERO).unwrap().applied, 1);
+
+    let expected = "éabc!";
+    assert_eq!(alice.content(), expected);
+    assert_eq!(bob.content(), expected);
+    assert_eq!(live.docs().stored_content(&doc).unwrap(), expected);
 }
 
 /// A channel that logs the path of every request it forwards.
@@ -500,6 +549,33 @@ fn private_writers_converge_when_the_second_save_loses_the_race() {
     assert_stored_without(&live, &doc, &["attack", "dawn", "(alice)", "(bob)"]);
 }
 
+#[test]
+fn a_private_pending_edit_past_multi_byte_text_survives_a_collaborators_insert() {
+    let live = LiveDocs::new(Arc::new(DocsServer::new()));
+    let doc = create_doc(&*live);
+    let mut alice = join_private(Arc::clone(&live), &doc, "alice", [1; 16]);
+    let mut bob = join_private(Arc::clone(&live), &doc, "bob", [2; 16]);
+    alice.client().editor().insert(0, "héé abc");
+    assert_eq!(alice.save(), SaveOutcome::Saved);
+    bob.step(Duration::ZERO).unwrap();
+
+    // Bob's pending append sits past the four bytes of éé; Alice's
+    // prepend lands first and Bob folds it before saving.
+    let len = bob.content().len();
+    bob.client().editor().insert(len, " (bob)");
+    alice.client().editor().insert(0, "X");
+    assert_eq!(alice.save(), SaveOutcome::Saved);
+    bob.step(Duration::ZERO).unwrap();
+    bob.save();
+    alice.step(Duration::ZERO).unwrap();
+
+    let expected = "Xhéé abc (bob)";
+    assert_eq!(bob.content(), expected);
+    assert_eq!(alice.content(), expected);
+    assert_eq!(read_private(&live, &doc), expected);
+    assert_stored_without(&live, &doc, &["abc", "(bob)"]);
+}
+
 /// A private editor's transport for the lost-mirror race: fails the next
 /// save with a 503 before it reaches the server, then runs a hook once
 /// the next poll has been answered — after the zero-wait poll the
@@ -626,13 +702,20 @@ mod convergence_proptest {
     use super::*;
     use proptest::prelude::*;
 
-    /// Hands out every printable ASCII character at most once, so each
-    /// inserted character names the one insert that made it.
-    struct Fresh(std::ops::RangeInclusive<u8>);
+    /// Hands out every character at most once, cycling through one-,
+    /// two-, three- and four-byte UTF-8 encodings, so each inserted
+    /// character names the one insert that made it.
+    struct Fresh(u32);
 
     impl Fresh {
         fn take(&mut self, n: usize) -> String {
-            (0..n).map(|_| char::from(self.0.next().expect("scripts fit in 94 chars"))).collect()
+            (0..n)
+                .map(|_| {
+                    self.0 += 1;
+                    let first = [0x21, 0xC0, 0x4E00, 0x1F300][self.0 as usize % 4];
+                    char::from_u32(first + self.0 / 4).expect("scripts fit each range")
+                })
+                .collect()
         }
     }
 
@@ -643,44 +726,95 @@ mod convergence_proptest {
         deleted: String,
     }
 
-    /// Applies one scripted edit to a session's editor. Positions are
-    /// taken modulo the buffer so every script is valid.
-    fn apply_edit(
-        session: &mut InProcSession,
+    /// Byte offset of character `i` of `text` (its length past the end).
+    fn offset(text: &str, i: usize) -> usize {
+        text.char_indices().nth(i).map_or(text.len(), |(at, _)| at)
+    }
+
+    /// Applies one scripted edit to a session's editor. Positions count
+    /// whole characters, taken modulo the buffer so every script is
+    /// valid.
+    fn apply_edit<C: Channel, P: Channel>(
+        session: &mut LiveSession<C, P>,
         kind: u8,
         pos: u8,
         fresh: &mut Fresh,
         typed: &mut Typed,
     ) {
-        let len = session.content().len();
-        match kind % 3 {
-            0 => {
-                let at = pos as usize % (len + 1);
-                let text = fresh.take(1 + pos as usize % 3);
-                typed.inserted.push_str(&text);
-                session.client().editor().insert(at, &text);
+        let content = session.content().to_string();
+        let chars = content.chars().count();
+        let pos = pos as usize;
+        let (at, removed, text) = match kind % 3 {
+            0 => (pos % (chars + 1), 0, fresh.take(1 + pos % 3)),
+            1 if chars > 0 => (pos % chars, (1 + pos % 4).min(chars - pos % chars), String::new()),
+            _ => (pos % (chars + 1), 0, fresh.take(1)),
+        };
+        let (start, end) = (offset(&content, at), offset(&content, at + removed));
+        typed.inserted.push_str(&text);
+        typed.deleted.push_str(&content[start..end]);
+        session.client().editor().replace(start, end - start, &text);
+    }
+
+    type Script = [(u8, u8, bool)];
+
+    /// Runs both scripts, interleaved, then checks that the sessions
+    /// converge on `stored()` — the authoritative content — holding no
+    /// character twice and every character typed and never deleted.
+    /// With `exact`, the deleted ones are all gone too. A private session
+    /// is handed each collaborator's change as one window, `diff(old,
+    /// new)`, so a character it deleted concurrently inside that window
+    /// comes back with the window's text.
+    fn run_scripts<C: Channel, P: Channel>(
+        mut alice: LiveSession<C, P>,
+        mut bob: LiveSession<C, P>,
+        script_a: &Script,
+        script_b: &Script,
+        stored: impl Fn() -> String,
+        exact: bool,
+    ) -> Result<(), TestCaseError> {
+        let mut fresh = Fresh(0);
+        let mut typed = Typed::default();
+        for i in 0..script_a.len().max(script_b.len()) {
+            if let Some(&(kind, pos, save_now)) = script_a.get(i) {
+                apply_edit(&mut alice, kind, pos, &mut fresh, &mut typed);
+                if save_now {
+                    alice.save();
+                    bob.step(Duration::ZERO).unwrap();
+                }
             }
-            1 if len > 0 => {
-                let at = pos as usize % len;
-                let n = (1 + pos as usize % 4).min(len - at);
-                typed.deleted.push_str(&session.content()[at..at + n]);
-                session.client().editor().delete(at, n);
-            }
-            _ => {
-                let at = pos as usize % (len + 1);
-                let text = fresh.take(1);
-                typed.inserted.push_str(&text);
-                session.client().editor().insert(at, &text);
+            if let Some(&(kind, pos, save_now)) = script_b.get(i) {
+                apply_edit(&mut bob, kind, pos, &mut fresh, &mut typed);
+                if save_now {
+                    bob.save();
+                    alice.step(Duration::ZERO).unwrap();
+                }
             }
         }
+        drain_and_assert_converged(&mut alice, &mut bob);
+        prop_assert_eq!(alice.content(), stored());
+        let mut expected: Vec<char> =
+            typed.inserted.chars().filter(|c| !typed.deleted.contains(*c)).collect();
+        let mut got: Vec<char> = alice.content().chars().collect();
+        expected.sort_unstable();
+        got.sort_unstable();
+        if exact {
+            prop_assert_eq!(got, expected);
+        } else {
+            prop_assert!(got.windows(2).all(|pair| pair[0] != pair[1]), "{:?}", got);
+            prop_assert!(got.iter().all(|c| typed.inserted.contains(*c)), "{:?}", got);
+            prop_assert!(expected.iter().all(|c| got.contains(c)), "{:?} ⊉ {:?}", got, expected);
+        }
+        Ok(())
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Collab-level TP1: two live sessions making arbitrary
-        /// interleaved edits, saves, and polls always converge — on
-        /// exactly the characters typed minus those deleted, each once.
+        /// interleaved edits of multi-byte text, saves, and polls always
+        /// converge, plaintext and private alike. Plaintext sessions hold
+        /// exactly the characters typed minus those deleted, each once;
+        /// private ones none twice and none lost (see `run_scripts`).
         #[test]
         fn two_live_sessions_always_converge(
             script_a in proptest::collection::vec(
@@ -690,41 +824,17 @@ mod convergence_proptest {
         ) {
             let live = LiveDocs::new(Arc::new(DocsServer::new()));
             let doc = create_doc(&*live);
-            let mut alice = join_in_process(&live, &doc, "alice");
-            let mut bob = join_in_process(&live, &doc, "bob");
-            let mut fresh = Fresh(b'!'..=b'~');
-            let mut typed = Typed::default();
-
-            let rounds = script_a.len().max(script_b.len());
-            for i in 0..rounds {
-                if let Some(&(kind, pos, save_now)) = script_a.get(i) {
-                    apply_edit(&mut alice, kind, pos, &mut fresh, &mut typed);
-                    if save_now {
-                        alice.save();
-                        bob.step(Duration::ZERO).unwrap();
-                    }
-                }
-                if let Some(&(kind, pos, save_now)) = script_b.get(i) {
-                    apply_edit(&mut bob, kind, pos, &mut fresh, &mut typed);
-                    if save_now {
-                        bob.save();
-                        alice.step(Duration::ZERO).unwrap();
-                    }
-                }
-            }
-            drain_and_assert_converged(&mut alice, &mut bob);
-            // Convergence is to the server's authoritative content…
-            prop_assert_eq!(
-                alice.content(),
+            let (alice, bob) =
+                (join_in_process(&live, &doc, "alice"), join_in_process(&live, &doc, "bob"));
+            run_scripts(alice, bob, &script_a, &script_b, || {
                 live.docs().stored_content(&doc).unwrap()
-            );
-            // …holding every surviving character exactly once.
-            let mut expected: Vec<char> =
-                typed.inserted.chars().filter(|c| !typed.deleted.contains(*c)).collect();
-            let mut got: Vec<char> = alice.content().chars().collect();
-            expected.sort_unstable();
-            got.sort_unstable();
-            prop_assert_eq!(got, expected);
+            }, true)?;
+
+            let live = LiveDocs::new(Arc::new(DocsServer::new()));
+            let doc = create_doc(&*live);
+            let alice = join_private(Arc::clone(&live), &doc, "alice", [1; 16]);
+            let bob = join_private(Arc::clone(&live), &doc, "bob", [2; 16]);
+            run_scripts(alice, bob, &script_a, &script_b, || read_private(&live, &doc), false)?;
         }
     }
 }

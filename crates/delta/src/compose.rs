@@ -182,27 +182,26 @@ mod tests {
         assert_eq!(d.compose(&id).normalized(), d.normalized());
     }
 
-    /// Builds a random valid delta for a document of length `len` from a
-    /// bag of raw choices.
-    fn build_delta(len: usize, raw: &[(u8, u8)]) -> Delta {
-        let mut remaining = len;
+    /// Builds a random valid delta for `doc` from a bag of raw choices:
+    /// counts are the byte lengths of whole characters.
+    fn build_delta(doc: &str, raw: &[(u8, u8)]) -> Delta {
+        const INSERTS: [&str; 4] = ["i", "é", "日", "😀"];
+        let mut cursor = 0;
         let mut builder = Delta::builder();
         for &(kind, amount) in raw {
-            let amount = amount as usize;
+            let take: usize =
+                doc[cursor..].chars().take(amount as usize).map(char::len_utf8).sum();
             match kind % 3 {
                 0 => {
-                    let take = amount.min(remaining);
                     builder.retain(take);
-                    remaining -= take;
+                    cursor += take;
                 }
                 1 => {
-                    let take = amount.min(remaining);
                     builder.delete(take);
-                    remaining -= take;
+                    cursor += take;
                 }
                 _ => {
-                    let text: String =
-                        std::iter::repeat_n('i', amount % 5).collect();
+                    let text = INSERTS[kind as usize % 4].repeat(amount as usize % 5);
                     builder.insert(&text);
                 }
             }
@@ -215,13 +214,13 @@ mod tests {
         /// valid deltas.
         #[test]
         fn compose_equals_sequential_application(
-            doc in "[a-d]{0,40}",
+            doc in "[a-dé日😀]{0,40}",
             raw_a in proptest::collection::vec((0u8..=255, 0u8..=6), 0..8),
             raw_b in proptest::collection::vec((0u8..=255, 0u8..=6), 0..8),
         ) {
-            let a = build_delta(doc.chars().count(), &raw_a);
+            let a = build_delta(&doc, &raw_a);
             let mid = a.apply(&doc).unwrap();
-            let b = build_delta(mid.chars().count(), &raw_b);
+            let b = build_delta(&mid, &raw_b);
             let two_step = b.apply(&mid).unwrap();
             let composed = a.compose(&b);
             prop_assert_eq!(composed.apply(&doc).unwrap(), two_step);
@@ -230,16 +229,16 @@ mod tests {
         /// Composition is associative in effect.
         #[test]
         fn compose_is_associative_in_effect(
-            doc in "[a-c]{0,30}",
+            doc in "[a-cé日😀]{0,30}",
             raw_a in proptest::collection::vec((0u8..=255, 0u8..=5), 0..6),
             raw_b in proptest::collection::vec((0u8..=255, 0u8..=5), 0..6),
             raw_c in proptest::collection::vec((0u8..=255, 0u8..=5), 0..6),
         ) {
-            let a = build_delta(doc.chars().count(), &raw_a);
+            let a = build_delta(&doc, &raw_a);
             let d1 = a.apply(&doc).unwrap();
-            let b = build_delta(d1.chars().count(), &raw_b);
+            let b = build_delta(&d1, &raw_b);
             let d2 = b.apply(&d1).unwrap();
-            let c = build_delta(d2.chars().count(), &raw_c);
+            let c = build_delta(&d2, &raw_c);
             let left = a.compose(&b).compose(&c);
             let right = a.compose(&b.compose(&c));
             prop_assert_eq!(left.apply(&doc).unwrap(), right.apply(&doc).unwrap());

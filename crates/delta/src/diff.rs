@@ -4,11 +4,12 @@
 //! `(D, D′)`, "a delta string … such that it transforms D to D′". This
 //! module provides that derivation using the common-prefix/common-suffix
 //! method: the result is the canonical minimal three-operation delta
-//! `retain p, delete m, insert s` (with empty parts omitted).
+//! `retain p, delete m, insert s` (with empty parts omitted), counted in
+//! bytes on character boundaries.
 //!
-//! Canonicality is what makes [`Delta::canonicalize`](crate::Delta::canonicalize)
-//! an effective covert-channel countermeasure: every pair of equivalent
-//! edits maps to the same wire bytes.
+//! Canonicality is what makes the diff of two versions an effective
+//! covert-channel countermeasure: every pair of equivalent edits maps to
+//! the same wire bytes.
 //!
 //! [`diff_hunks`] keeps that property while sending less: inside the
 //! changed window it runs Myers' greedy O(ND) diff ("An O(ND) Difference
@@ -53,8 +54,8 @@ pub fn diff_around(old: &str, new: &str, same_prefix: usize, same_suffix: usize)
     let (prefix, suffix) = changed_window(old, new, same_prefix, same_suffix);
     let mut builder = Delta::builder();
     builder
-        .retain(old[..prefix].chars().count())
-        .delete(old[prefix..old.len() - suffix].chars().count())
+        .retain(prefix)
+        .delete(old.len() - prefix - suffix)
         .insert(&new[prefix..new.len() - suffix]);
     builder.build()
 }
@@ -63,7 +64,7 @@ pub fn diff_around(old: &str, new: &str, same_prefix: usize, same_suffix: usize)
 /// longest common prefix and longest common suffix (the suffix never
 /// overlaps the prefix), both on character boundaries — the one
 /// prefix/suffix routine behind [`diff`], [`diff_around`] and
-/// [`diff_hunks`], for callers that count in bytes.
+/// [`diff_hunks`].
 ///
 /// `same_prefix` and `same_suffix` are byte counts the caller already
 /// knows the versions share (0 when unknown); the scans start there, so
@@ -110,8 +111,8 @@ pub fn changed_window(
     (prefix, a.len() - old.ceil_char_boundary(a.len() - suffix))
 }
 
-/// The canonical **byte-counted** delta from `old` to `new` as separate
-/// hunks, a function of the two versions alone:
+/// The canonical delta from `old` to `new` as separate hunks, a
+/// function of the two versions alone:
 ///
 /// 1. take the [`changed_window`];
 /// 2. run Myers' greedy diff over the window's bytes (ties go to the
@@ -122,7 +123,7 @@ pub fn changed_window(
 ///
 /// When the window's edit distance (bytes inserted plus bytes deleted)
 /// exceeds `max_edits`, the result is the single replace of the whole
-/// window, as [`diff_around`] gives but counted in bytes. Myers' work is
+/// window, as [`diff_around`] gives. Myers' work is
 /// O((N + M) · `max_edits`) byte comparisons in the worst case and
 /// about one per window byte for typical text, with O(`max_edits`²)
 /// memory.
@@ -341,11 +342,11 @@ mod tests {
     #[test]
     fn byte_scans_settle_on_character_boundaries() {
         // The first byte of é and è agree; the delta must not split them.
-        assert_eq!(diff("café", "cafè").serialize(), "=3\t-1\t+è");
-        assert_eq!(diff("éa", "èa").serialize(), "-1\t+è");
-        assert_eq!(diff("a日b", "a月b").serialize(), "=1\t-1\t+月");
-        // Counts are characters, not bytes; the window is in bytes.
-        assert_eq!(diff("日本語", "日本語です").serialize(), "=3\t+です");
+        assert_eq!(diff("café", "cafè").serialize(), "=3\t-2\t+è");
+        assert_eq!(diff("éa", "èa").serialize(), "-2\t+è");
+        assert_eq!(diff("a日b", "a月b").serialize(), "=1\t-3\t+月");
+        // Counts are bytes, like the window.
+        assert_eq!(diff("日本語", "日本語です").serialize(), "=9\t+です");
         assert_eq!(changed_window("日本語", "日本語です", 0, 0), (9, 0));
     }
 

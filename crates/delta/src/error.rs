@@ -28,15 +28,15 @@ pub enum DeltaError {
     PastEnd {
         /// Cursor position when the operation was attempted.
         position: usize,
-        /// Number of characters the operation asked for.
+        /// Number of bytes the operation asked for.
         requested: usize,
         /// Document length.
         len: usize,
     },
-    /// An edit of a byte-counted delta cuts a multi-byte character of the
-    /// text where the cut cannot stand: [`Delta::apply_in_place`] when
-    /// the result would not be valid UTF-8, [`Delta::invert`] when a
-    /// delete starts or ends inside a character.
+    /// An edit cuts a multi-byte character of the text where the cut
+    /// cannot stand: [`Delta::apply_in_place`] when the result would not
+    /// be valid UTF-8, [`Delta::invert`] when a delete starts or ends
+    /// inside a character.
     ///
     /// [`Delta::apply_in_place`]: crate::Delta::apply_in_place
     /// [`Delta::invert`]: crate::Delta::invert
@@ -59,7 +59,7 @@ impl fmt::Display for DeltaError {
             }
             DeltaError::PastEnd { position, requested, len } => write!(
                 f,
-                "operation at cursor {position} requests {requested} characters but document has {len}"
+                "operation at byte {position} requests {requested} bytes but document has {len}"
             ),
             DeltaError::SplitsCharacter { position } => {
                 write!(f, "edit at byte {position} splits a character")

@@ -16,14 +16,21 @@
 //! The paper's examples: applying `=2	-5` to `abcdefg` yields `ab`, and
 //! `=2	-3	+uv	=2	+w` yields `abuvfgw`.
 //!
+//! **Counts are UTF-8 bytes**, not characters: encryption blocks hold
+//! bytes, so the server, the store and the privacy mediator count bytes,
+//! and every operation here counts them too. Text stays text: an edit
+//! whose result would not be valid UTF-8 is refused. On ASCII the two
+//! units agree, so the paper's examples read the same.
+//!
 //! This crate implements the protocol: [`Delta`] values can be
 //! [parsed](Delta::parse), [serialized](Delta::serialize),
-//! [applied](Delta::apply) to documents (or, counting bytes,
-//! [in place](Delta::apply_in_place)), [composed](Delta::compose),
+//! [applied](Delta::apply) to documents (or [in place](Delta::apply_in_place)),
+//! [composed](Delta::compose), [inverted](Delta::invert),
+//! [transformed](Delta::transform) over a concurrent delta, and
 //! [derived from two document versions](diff) — as one window or as
-//! [separate hunks](diff_hunks) — and
-//! [canonicalized](Delta::canonicalize) — the §VI-B countermeasure that
-//! squashes covert channels hidden in redundant edit sequences.
+//! [separate hunks](diff_hunks). The diff of two versions is the
+//! canonical form: the §VI-B countermeasure that squashes covert
+//! channels hidden in redundant edit sequences.
 //!
 //! Characters that would collide with the framing (`\t` inside inserted
 //! text, and `%`, used as the escape introducer) are percent-escaped in the

@@ -6,32 +6,24 @@ use std::str::FromStr;
 
 use crate::error::DeltaError;
 
-/// One operation of a delta (§IV-A of the paper).
+/// One operation of a delta (§IV-A of the paper). Counts are UTF-8
+/// **bytes**, where the paper's Google Documents counted characters.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum DeltaOp {
-    /// `=num`: move the cursor forward `num` characters.
+    /// `=num`: move the cursor forward `num` bytes.
     Retain(usize),
     /// `+str`: insert the string at the cursor and advance past it.
     Insert(String),
-    /// `-num`: delete `num` characters starting at the cursor.
+    /// `-num`: delete `num` bytes starting at the cursor.
     Delete(usize),
 }
 
 impl DeltaOp {
-    /// Number of characters of the *input* document this op consumes.
+    /// Number of bytes of the *input* document this op consumes.
     pub fn input_len(&self) -> usize {
         match self {
             DeltaOp::Retain(n) | DeltaOp::Delete(n) => *n,
             DeltaOp::Insert(_) => 0,
-        }
-    }
-
-    /// Number of characters this op contributes to the *output* document.
-    pub fn output_len(&self) -> usize {
-        match self {
-            DeltaOp::Retain(n) => *n,
-            DeltaOp::Insert(s) => s.chars().count(),
-            DeltaOp::Delete(_) => 0,
         }
     }
 }
@@ -44,7 +36,8 @@ impl DeltaOp {
 /// redundant sequence such as `+a	-1	+a` is *not* silently simplified,
 /// because faithfully representing redundant encodings is what makes the
 /// covert-channel experiments of §VI-B possible. Use
-/// [`Delta::normalized`] or [`Delta::canonicalize`] for minimal forms.
+/// [`Delta::normalized`] to merge adjacent operations, and
+/// [`diff`](crate::diff) of the two versions for the canonical form.
 ///
 /// # Example
 ///
@@ -90,21 +83,9 @@ impl Delta {
         self.ops.iter().all(|op| matches!(op, DeltaOp::Retain(_)))
     }
 
-    /// Minimum number of characters the input document must have.
+    /// Minimum number of bytes the input document must have.
     pub fn input_len(&self) -> usize {
         self.ops.iter().map(DeltaOp::input_len).sum()
-    }
-
-    /// Net change in document length caused by this delta.
-    pub fn len_change(&self) -> isize {
-        self.ops
-            .iter()
-            .map(|op| match op {
-                DeltaOp::Insert(s) => s.chars().count() as isize,
-                DeltaOp::Delete(n) => -(*n as isize),
-                DeltaOp::Retain(_) => 0,
-            })
-            .sum()
     }
 
     /// Parses the tab-separated wire form.
@@ -161,79 +142,37 @@ impl Delta {
         out
     }
 
-    /// Applies this delta to `document`, returning the updated document.
+    /// Applies this delta to a copy of `document`: [`Delta::apply_in_place`]
+    /// on a fresh string.
     ///
-    /// Content beyond the last consumed position is implicitly retained.
+    /// # Errors
+    ///
+    /// As for [`Delta::apply_in_place`].
+    pub fn apply(&self, document: &str) -> Result<String, DeltaError> {
+        let mut out = document.to_owned();
+        self.apply_in_place(&mut out)?;
+        Ok(out)
+    }
+
+    /// Applies this delta to a byte buffer, inserting the UTF-8 bytes of
+    /// inserted text. Unlike [`Delta::apply`] it accepts any cut, so the
+    /// result need not be UTF-8: the form for bytes that are not text.
     ///
     /// # Errors
     ///
     /// Returns [`DeltaError::PastEnd`] when a retain or delete runs past
     /// the end of the document.
-    pub fn apply(&self, document: &str) -> Result<String, DeltaError> {
-        let chars: Vec<char> = document.chars().collect();
-        let out = self.apply_chars(&chars)?;
-        Ok(out.into_iter().collect())
-    }
-
-    /// Applies this delta to a character buffer (the form used internally
-    /// by the encryption layer, which tracks documents as `Vec<char>`).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Delta::apply`].
-    pub fn apply_chars(&self, document: &[char]) -> Result<Vec<char>, DeltaError> {
-        let mut out = Vec::with_capacity(document.len());
-        let mut cursor = 0usize;
-        for op in &self.ops {
-            match op {
-                DeltaOp::Retain(n) => {
-                    let end = cursor.checked_add(*n).filter(|&e| e <= document.len()).ok_or(
-                        DeltaError::PastEnd { position: cursor, requested: *n, len: document.len() },
-                    )?;
-                    out.extend_from_slice(&document[cursor..end]);
-                    cursor = end;
-                }
-                DeltaOp::Delete(n) => {
-                    let end = cursor.checked_add(*n).filter(|&e| e <= document.len()).ok_or(
-                        DeltaError::PastEnd { position: cursor, requested: *n, len: document.len() },
-                    )?;
-                    cursor = end;
-                }
-                DeltaOp::Insert(s) => out.extend(s.chars()),
-            }
-        }
-        out.extend_from_slice(&document[cursor..]);
-        Ok(out)
-    }
-
-    /// Applies this delta to a byte buffer, interpreting all counts as
-    /// **byte** counts and inserting the UTF-8 bytes of inserted text.
-    ///
-    /// The private-editing mediator operates on the byte level (encryption
-    /// blocks hold bytes), so its wire protocol counts bytes; for ASCII
-    /// documents this coincides with [`Delta::apply`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Delta::apply`].
     pub fn apply_bytes(&self, document: &[u8]) -> Result<Vec<u8>, DeltaError> {
         let mut out = Vec::with_capacity(document.len());
         let mut cursor = 0usize;
         for op in &self.ops {
             match op {
                 DeltaOp::Retain(n) => {
-                    let end = cursor.checked_add(*n).filter(|&e| e <= document.len()).ok_or(
-                        DeltaError::PastEnd { position: cursor, requested: *n, len: document.len() },
-                    )?;
+                    let end = advance(cursor, *n, document.len())?;
                     out.extend_from_slice(&document[cursor..end]);
                     cursor = end;
                 }
-                DeltaOp::Delete(n) => {
-                    let end = cursor.checked_add(*n).filter(|&e| e <= document.len()).ok_or(
-                        DeltaError::PastEnd { position: cursor, requested: *n, len: document.len() },
-                    )?;
-                    cursor = end;
-                }
+                DeltaOp::Delete(n) => cursor = advance(cursor, *n, document.len())?,
                 DeltaOp::Insert(s) => out.extend_from_slice(s.as_bytes()),
             }
         }
@@ -243,8 +182,7 @@ impl Delta {
 
     /// The edits of this delta against a document of `len` bytes, in
     /// order: each maximal run of deletes and inserts between retains of
-    /// at least one byte. Counts are **bytes**, as in
-    /// [`Delta::apply_bytes`]; nothing is copied.
+    /// at least one byte; nothing is copied.
     ///
     /// # Errors
     ///
@@ -293,10 +231,10 @@ impl Delta {
         Ok(hunks)
     }
 
-    /// Applies this delta to `text` in place, counting **bytes** like
-    /// [`Delta::apply_bytes`]. The text before the first edit is not
-    /// touched, so the cost is the bytes from the first edit to the end
-    /// plus the inserted text — not a copy of the document.
+    /// Applies this delta to `text` in place. The text before the first
+    /// edit is not touched, so the cost is the bytes from the first edit
+    /// to the end plus the inserted text — not a copy of the document.
+    /// Content beyond the last consumed position is implicitly retained.
     ///
     /// An edit may cut a multi-byte character as long as the result is
     /// text: the delta is accepted exactly when `apply_bytes` would give
@@ -363,23 +301,6 @@ impl Delta {
             }
         }
         builder.build()
-    }
-
-    /// Rewrites this delta into the canonical minimal form with respect to
-    /// the document `base` it would be applied to: the result of
-    /// [`diff`](crate::diff)`(base, self.apply(base))`.
-    ///
-    /// This is the §VI-B countermeasure against covert channels encoded in
-    /// redundant operation sequences: any two deltas with the same effect
-    /// on `base` canonicalize to the identical delta, destroying the
-    /// encoding.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if this delta does not apply to `base`.
-    pub fn canonicalize(&self, base: &str) -> Result<Delta, DeltaError> {
-        let updated = self.apply(base)?;
-        Ok(crate::diff(base, &updated))
     }
 }
 
@@ -579,7 +500,7 @@ impl DeltaBuilder {
         DeltaBuilder { ops: Vec::new() }
     }
 
-    /// Appends a retain of `n` characters (no-op when `n == 0`).
+    /// Appends a retain of `n` bytes (no-op when `n == 0`).
     pub fn retain(&mut self, n: usize) -> &mut DeltaBuilder {
         if n == 0 {
             return self;
@@ -605,7 +526,7 @@ impl DeltaBuilder {
         self
     }
 
-    /// Appends a deletion of `n` characters (no-op when `n == 0`).
+    /// Appends a deletion of `n` bytes (no-op when `n == 0`).
     pub fn delete(&mut self, n: usize) -> &mut DeltaBuilder {
         if n == 0 {
             return self;
@@ -717,8 +638,12 @@ mod tests {
 
     #[test]
     fn unicode_documents() {
-        let delta = Delta::parse("=2\t+héllo\t-1").unwrap();
+        // Byte counts: each of 日本語です is three bytes.
+        let delta = Delta::parse("=6\t+héllo\t-3").unwrap();
         assert_eq!(delta.apply("日本語です").unwrap(), "日本hélloです");
+        // A cut that leaves a broken character is refused.
+        let cut = Delta::parse("=2\t+x").unwrap();
+        assert_eq!(cut.apply("日本"), Err(DeltaError::SplitsCharacter { position: 2 }));
     }
 
     #[test]
@@ -761,12 +686,10 @@ mod tests {
     }
 
     #[test]
-    fn input_len_and_len_change() {
+    fn input_len_counts_consumed_bytes() {
         let delta = Delta::parse("=2\t-3\t+uv\t=2\t+w").unwrap();
         assert_eq!(delta.input_len(), 7);
-        assert_eq!(delta.len_change(), 0);
-        let delta = Delta::parse("-5\t+ab").unwrap();
-        assert_eq!(delta.len_change(), -3);
+        assert_eq!(Delta::parse("=3\t-2\t+日本").unwrap().input_len(), 5);
     }
 
     #[test]
@@ -797,10 +720,9 @@ mod tests {
         honest.insert(&"x".repeat(17));
         let honest = honest.build();
         assert_ne!(sneaky, honest, "encodings differ on the wire");
-        assert_eq!(
-            sneaky.canonicalize(base).unwrap(),
-            honest.canonicalize(base).unwrap()
-        );
+        // The canonical form is the diff of the two versions alone.
+        let canonical = |delta: &Delta| crate::diff(base, &delta.apply(base).unwrap());
+        assert_eq!(canonical(&sneaky), canonical(&honest));
     }
 
     #[test]

@@ -64,7 +64,7 @@ impl OpStream {
         self.ops.pop_front()
     }
 
-    /// Consumes up to `n` input characters from the head retain/delete,
+    /// Consumes up to `n` input bytes from the head retain/delete,
     /// returning how many were consumed and whether they were retained.
     fn consume(&mut self, n: usize) -> (usize, bool) {
         match self.ops.pop_front() {
@@ -101,7 +101,7 @@ impl OpStream {
 
 impl Delta {
     /// Rebases this delta over `other`: both were produced against the
-    /// same base document of `base_len` characters; the result applies to
+    /// same base document of `base_len` bytes; the result applies to
     /// `other.apply(base)` and preserves this delta's intent.
     ///
     /// `side` breaks insertion ties: with [`Side::Left`], this delta's
@@ -110,7 +110,7 @@ impl Delta {
     /// # Errors
     ///
     /// Returns [`DeltaError::PastEnd`] when either delta consumes more
-    /// than `base_len` characters.
+    /// than `base_len` bytes.
     ///
     /// # Example
     ///
@@ -147,27 +147,27 @@ impl Delta {
                         }
                     } else if let Some(DeltaOp::Insert(s)) = b.pop() {
                         // The other's insert lands first: retain over it.
-                        out.retain(s.chars().count());
+                        out.retain(s.len());
                     }
                 }
                 // The other inserts text this delta must retain over.
                 (_, Some(DeltaOp::Insert(_))) => {
                     if let Some(DeltaOp::Insert(s)) = b.pop() {
-                        out.retain(s.chars().count());
+                        out.retain(s.len());
                     }
                 }
-                // Both consume base characters.
+                // Both consume base bytes.
                 (Some(_), Some(_)) => {
                     let n = a.head_input_len().min(b.head_input_len()).max(1);
                     let (taken_a, a_retains) = a.consume(n);
                     let (taken_b, b_retains) = b.consume(taken_a);
                     debug_assert_eq!(taken_a, taken_b, "streams must stay aligned");
                     match (a_retains, b_retains) {
-                        // Both keep the characters.
+                        // Both keep the bytes.
                         (true, true) => {
                             out.retain(taken_a);
                         }
-                        // This delta deletes characters the other kept.
+                        // This delta deletes bytes the other kept.
                         (false, true) => {
                             out.delete(taken_a);
                         }
@@ -206,9 +206,8 @@ mod tests {
 
     /// Checks TP1 convergence for a pair of concurrent deltas.
     fn converges(doc: &str, a: &Delta, b: &Delta) -> String {
-        let len = doc.chars().count();
-        let a_prime = a.transform(b, len, Side::Left).unwrap();
-        let b_prime = b.transform(a, len, Side::Right).unwrap();
+        let a_prime = a.transform(b, doc.len(), Side::Left).unwrap();
+        let b_prime = b.transform(a, doc.len(), Side::Right).unwrap();
         let via_a = b_prime.apply(&a.apply(doc).unwrap()).unwrap();
         let via_b = a_prime.apply(&b.apply(doc).unwrap()).unwrap();
         assert_eq!(via_a, via_b, "TP1 violated for {a:?} / {b:?} on {doc:?}");
@@ -250,6 +249,17 @@ mod tests {
     }
 
     #[test]
+    fn multi_byte_inserts_shift_by_their_bytes() {
+        // é is two bytes: an append after "abc" moves from 3 to 5.
+        let a = Delta::parse("+é").unwrap();
+        let b = Delta::parse("=3\t+!").unwrap();
+        assert_eq!(b.transform(&a, 3, Side::Right).unwrap().serialize(), "=5\t+!");
+        assert_eq!(converges("abc", &a, &b), "éabc!");
+        let (a, b) = (Delta::parse("+X").unwrap(), Delta::parse("=9\t+ (bob)").unwrap());
+        assert_eq!(converges("héé abc", &a, &b), "Xhéé abc (bob)");
+    }
+
+    #[test]
     fn identity_transforms_to_identity() {
         let doc = "unchanged";
         let id = Delta::new();
@@ -266,26 +276,25 @@ mod tests {
         assert!(b.transform(&a, 5, Side::Right).is_err());
     }
 
-    /// Builds a valid random delta for a document of `len` chars.
-    fn build(len: usize, raw: &[(u8, u8, char)]) -> Delta {
-        let mut remaining = len;
+    /// Builds a valid random delta for `doc`: every count is the byte
+    /// length of whole characters, so every edit sits on a boundary.
+    fn build(doc: &str, raw: &[(u8, u8, String)]) -> Delta {
+        let mut cursor = 0;
         let mut builder = Delta::builder();
-        for &(kind, n, c) in raw {
-            let n = n as usize % 7;
+        for (kind, n, text) in raw {
+            let take: usize =
+                doc[cursor..].chars().take(*n as usize % 7).map(char::len_utf8).sum();
             match kind % 3 {
                 0 => {
-                    let take = n.min(remaining);
-                    remaining -= take;
+                    cursor += take;
                     builder.retain(take);
                 }
                 1 => {
-                    let take = n.min(remaining);
-                    remaining -= take;
+                    cursor += take;
                     builder.delete(take);
                 }
                 _ => {
-                    let text: String = std::iter::repeat_n(c, n % 4).collect();
-                    builder.insert(&text);
+                    builder.insert(text);
                 }
             }
         }
@@ -298,15 +307,14 @@ mod tests {
         /// TP1: concurrent deltas converge regardless of application order.
         #[test]
         fn tp1_convergence(
-            doc in "[a-d]{0,40}",
-            raw_a in proptest::collection::vec((any::<u8>(), any::<u8>(), proptest::char::range('w', 'y')), 0..8),
-            raw_b in proptest::collection::vec((any::<u8>(), any::<u8>(), proptest::char::range('W', 'Y')), 0..8),
+            doc in "[a-dé日😀]{0,40}",
+            raw_a in proptest::collection::vec((any::<u8>(), any::<u8>(), "[wxé日😀]{0,3}"), 0..8),
+            raw_b in proptest::collection::vec((any::<u8>(), any::<u8>(), "[WXè月🚀]{0,3}"), 0..8),
         ) {
-            let len = doc.chars().count();
-            let a = build(len, &raw_a);
-            let b = build(len, &raw_b);
-            let a_prime = a.transform(&b, len, Side::Left).unwrap();
-            let b_prime = b.transform(&a, len, Side::Right).unwrap();
+            let a = build(&doc, &raw_a);
+            let b = build(&doc, &raw_b);
+            let a_prime = a.transform(&b, doc.len(), Side::Left).unwrap();
+            let b_prime = b.transform(&a, doc.len(), Side::Right).unwrap();
             let via_a = b_prime.apply(&a.apply(&doc).unwrap()).unwrap();
             let via_b = a_prime.apply(&b.apply(&doc).unwrap()).unwrap();
             prop_assert_eq!(via_a, via_b);
@@ -315,13 +323,12 @@ mod tests {
         /// Transforming against the identity changes nothing semantically.
         #[test]
         fn identity_is_neutral(
-            doc in "[a-d]{0,30}",
-            raw in proptest::collection::vec((any::<u8>(), any::<u8>(), proptest::char::range('p', 'r')), 0..8),
+            doc in "[a-dé日😀]{0,30}",
+            raw in proptest::collection::vec((any::<u8>(), any::<u8>(), "[pqé日😀]{0,3}"), 0..8),
         ) {
-            let len = doc.chars().count();
-            let a = build(len, &raw);
+            let a = build(&doc, &raw);
             let id = Delta::new();
-            let a_prime = a.transform(&id, len, Side::Left).unwrap();
+            let a_prime = a.transform(&id, doc.len(), Side::Left).unwrap();
             prop_assert_eq!(a_prime.apply(&doc).unwrap(), a.apply(&doc).unwrap());
         }
     }

@@ -41,7 +41,7 @@ proptest! {
         raw in proptest::collection::vec((any::<u8>(), 0usize..10, "[x-z]{0,5}"), 0..10),
     ) {
         // Build a valid delta against doc.
-        let mut remaining = doc.chars().count();
+        let mut remaining = doc.len();
         let mut ops = Vec::new();
         for (kind, n, text) in raw {
             match kind % 3 {
@@ -63,42 +63,24 @@ proptest! {
         prop_assert_eq!(delta.apply(&doc).unwrap(), normalized.apply(&doc).unwrap());
     }
 
-    /// Canonicalization is idempotent and effect-preserving.
+    /// apply and apply_bytes agree on any text and any byte offset:
+    /// apply gives the same bytes, or refuses exactly the cuts whose
+    /// result is not UTF-8.
     #[test]
-    fn canonicalize_is_idempotent(
-        doc in "[a-e]{0,60}",
-        raw in proptest::collection::vec((any::<u8>(), 0usize..10, "[x-z]{0,5}"), 0..10),
-    ) {
-        let mut remaining = doc.chars().count();
-        let mut ops = Vec::new();
-        for (kind, n, text) in raw {
-            match kind % 3 {
-                0 => { let t = n.min(remaining); remaining -= t; ops.push(DeltaOp::Retain(t)); }
-                1 => { let t = n.min(remaining); remaining -= t; ops.push(DeltaOp::Delete(t)); }
-                _ => ops.push(DeltaOp::Insert(text)),
-            }
-        }
-        let delta = Delta::from_ops(ops);
-        let once = delta.canonicalize(&doc).unwrap();
-        let twice = once.canonicalize(&doc).unwrap();
-        prop_assert_eq!(&once, &twice);
-        prop_assert_eq!(once.apply(&doc).unwrap(), delta.apply(&doc).unwrap());
-    }
-
-    /// apply and apply_bytes agree on ASCII documents.
-    #[test]
-    fn apply_bytes_matches_apply_on_ascii(
-        doc in "[ -~]{0,60}",
+    fn apply_bytes_matches_apply_on_text(
+        doc in "\\PC{0,60}",
         at in any::<usize>(),
-        text in "[ -~]{0,10}",
+        cut in 0usize..4,
+        text in "\\PC{0,10}",
     ) {
-        let len = doc.len();
-        let at = if len == 0 { 0 } else { at % (len + 1) };
+        let at = at % (doc.len() + 1);
         let mut builder = Delta::builder();
-        builder.retain(at).insert(&text);
+        builder.retain(at).delete(cut.min(doc.len() - at)).insert(&text);
         let delta = builder.build();
-        let via_chars = delta.apply(&doc).unwrap();
-        let via_bytes = String::from_utf8(delta.apply_bytes(doc.as_bytes()).unwrap()).unwrap();
-        prop_assert_eq!(via_chars, via_bytes);
+        let via_bytes = delta.apply_bytes(doc.as_bytes()).unwrap();
+        match delta.apply(&doc) {
+            Ok(via_text) => prop_assert_eq!(via_text.as_bytes(), &via_bytes[..]),
+            Err(_) => prop_assert!(String::from_utf8(via_bytes).is_err()),
+        }
     }
 }

@@ -49,11 +49,10 @@ pub const MERGE_GAP: usize = 16;
 
 /// Rewrites an outgoing delta into its canonical form against `base`:
 /// [`pe_delta::diff_hunks`] of `base` and the delta's result, with the
-/// cap [`EDIT_DISTANCE_CAP`] and merge gap [`MERGE_GAP`]. Counts are
-/// **bytes**, like every delta the mediator encrypts (see
-/// [`Delta::apply_bytes`]); every hunk sits on character boundaries, so
-/// each step of a session stays valid text. Any two deltas with the same
-/// effect canonicalize to the same bytes.
+/// cap [`EDIT_DISTANCE_CAP`] and merge gap [`MERGE_GAP`]. Every hunk
+/// sits on character boundaries, so each step of a session stays valid
+/// text. Any two deltas with the same effect canonicalize to the same
+/// bytes.
 ///
 /// Building the result costs one copy of `base`. The delta's first
 /// retain and the tail it leaves untouched are bytes both versions
@@ -66,8 +65,7 @@ pub const MERGE_GAP: usize = 16;
 ///
 /// Fails when `delta` does not fit `base` or its result is not UTF-8.
 pub fn canonical_delta(delta: &Delta, base: &str) -> Result<Delta, ExtensionError> {
-    let mut new = base.to_owned();
-    delta.apply_in_place(&mut new)?;
+    let new = delta.apply(base)?;
     let same_prefix = match delta.ops() {
         [DeltaOp::Retain(n), ..] => *n,
         _ => 0,

@@ -769,17 +769,8 @@ impl<S: CloudService> DocsMediator<S> {
                     }
                 }
                 _ => {
-                    let base = self
-                        .docs
-                        .get(doc_id)
-                        .map(|s| s.plaintext.clone())
-                        .unwrap_or_default();
-                    let updated = delta.apply_bytes(base.as_bytes())?;
-                    let updated = String::from_utf8(updated).map_err(|_| {
-                        ExtensionError::BadResponse {
-                            detail: "delta produced invalid text".into(),
-                        }
-                    })?;
+                    let base = self.docs.get(doc_id).map(|s| s.plaintext.as_str());
+                    let updated = delta.apply(base.unwrap_or_default())?;
                     return self.full_save(doc_id, request, &updated);
                 }
             }

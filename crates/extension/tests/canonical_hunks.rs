@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex};
 use pe_cloud::docs::DocsServer;
 use pe_cloud::{CloudService, Request, Response};
 use pe_crypto::{form, CtrDrbg};
-use pe_delta::{changed_window, Delta, DeltaOp};
+use pe_delta::{changed_window, diff, Delta, DeltaOp};
 use pe_extension::countermeasures::{canonical_delta, EDIT_DISTANCE_CAP, MERGE_GAP};
 use pe_extension::{DocsMediator, MediatorConfig};
 use proptest::prelude::*;
@@ -30,17 +30,6 @@ fn edit_distance(a: &[u8], b: &[u8]) -> usize {
 /// `(at, removed, inserted)` of every hunk, in byte counts.
 fn hunks(delta: &Delta, len: usize) -> Vec<(usize, usize, usize)> {
     delta.hunks(len).unwrap().iter().map(|h| (h.at, h.removed, h.inserted_len())).collect()
-}
-
-/// The single replace of the changed window, in bytes.
-fn single_window(old: &str, new: &str) -> Delta {
-    let (prefix, suffix) = changed_window(old, new, 0, 0);
-    let mut builder = Delta::builder();
-    builder
-        .retain(prefix)
-        .delete(old.len() - prefix - suffix)
-        .insert(&new[prefix..new.len() - suffix]);
-    builder.build()
 }
 
 /// The same effect in one-byte steps: every character of the common
@@ -91,7 +80,8 @@ fn edits() -> impl Strategy<Value = Vec<(usize, bool, usize, String)>> {
 }
 
 proptest! {
-    /// Every encoding of one effect canonicalizes to the same bytes, and
+    /// Every encoding of one effect canonicalizes to the same bytes — the
+    /// canonical delta itself included, so the form is idempotent — and
     /// the canonical delta is small, whole-character and exact.
     #[test]
     fn canonical_form_depends_on_the_two_versions_only(base in base_text(), edits in edits()) {
@@ -100,7 +90,8 @@ proptest! {
         let wire = canonical.serialize();
         let mut everything = Delta::builder();
         everything.delete(base.len()).insert(&new);
-        for other in [one_byte_steps(&base, &new), single_window(&base, &new), everything.build()] {
+        let steps = one_byte_steps(&base, &new);
+        for other in [canonical.clone(), steps, diff(&base, &new), everything.build()] {
             prop_assert_eq!(&canonical_delta(&other, &base).unwrap().serialize(), &wire, "{}", other);
         }
         // It applies, and every hunk sits on character boundaries.
@@ -115,7 +106,7 @@ proptest! {
         let distance = edit_distance(base.as_bytes(), new.as_bytes());
         let sent: usize = spans.iter().map(|&(_, removed, inserted)| removed + inserted).sum();
         if distance > EDIT_DISTANCE_CAP {
-            prop_assert_eq!(canonical, single_window(&base, &new));
+            prop_assert_eq!(canonical, diff(&base, &new));
         } else {
             let widening = if base.is_ascii() && new.is_ascii() { 0 } else { 12 * distance };
             let merged = (MERGE_GAP - 1) * distance.saturating_sub(spans.len());

@@ -14,6 +14,15 @@ cargo test -q --offline
 echo "== cargo clippy =="
 cargo clippy --workspace --offline -- -D warnings
 
+echo "== deep convergence (more property-test cases) =="
+# The convergence laws at many more cases than the default suite runs:
+# TP1, compose, inversion and the apply/apply_bytes agreement over
+# multi-byte text in pe-delta, and two live sessions, plaintext and
+# private, in pe-collab. Release mode keeps the step well under a minute.
+PROPTEST_CASES=2048 cargo test -q --release --offline -p pe-delta
+PROPTEST_CASES=512 cargo test -q --release --offline -p pe-collab --test live_collab \
+  convergence_proptest
+
 echo "== pebench: smoke run and tests =="
 # The benchmark is a package of its own (pebench/), so the root `cargo
 # test` never builds it, yet it implements DocStore and drives the
