@@ -1,5 +1,6 @@
 //! Crypto throughput: full-document encrypt+decrypt and raw block-cipher
-//! speed, once per AES backend, same run, same machine.
+//! speed, once per AES backend, and a 1 MiB SHA-256 digest per
+//! compression engine, same run, same machine.
 //!
 //! Usage: `cargo run -p pe-bench --bin crypto_throughput --release -- \
 //!     [--smoke] [--out FILE] [--detect]`
@@ -10,8 +11,11 @@
 //! status 0 (supported) or 1 (not) — used by `scripts/ci.sh` to skip the
 //! forced-`aesni` test pass gracefully on hardware without it.
 
-use pe_bench::crypto_bench::{crypto_throughput_matrix, raw_cipher_throughput, render_json};
+use pe_bench::crypto_bench::{
+    crypto_throughput_matrix, raw_cipher_throughput, render_json, sha_throughput,
+};
 use pe_bench::report::markdown_table;
+use pe_crypto::sha256::ShaBackend;
 use pe_crypto::AesBackend;
 
 fn main() {
@@ -87,7 +91,19 @@ fn main() {
         markdown_table(&["backend", "enc MiB/s", "dec MiB/s", "vs scalar"], &cipher_table)
     );
 
-    let json = render_json(&rows, &cipher_rows, reps);
+    println!("## SHA-256 (1 MiB digest)\n");
+    let mut sha_backends = vec![ShaBackend::Scalar];
+    if ShaBackend::shani_supported() {
+        sha_backends.push(ShaBackend::ShaNi);
+    }
+    let sha_rows = sha_throughput(&sha_backends, reps);
+    let sha_table: Vec<Vec<String>> = sha_rows
+        .iter()
+        .map(|row| vec![row.sha_backend.to_string(), format!("{:.1}", row.mib_s)])
+        .collect();
+    println!("{}", markdown_table(&["engine", "MiB/s"], &sha_table));
+
+    let json = render_json(&rows, &cipher_rows, &sha_rows, reps);
     match std::fs::write(out_path, &json) {
         Ok(()) => println!("wrote {out_path}"),
         Err(e) => {

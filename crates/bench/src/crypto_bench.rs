@@ -1,10 +1,11 @@
 //! Crypto throughput: full-document encrypt+decrypt through the shipping
 //! rECB engine ([`RecbDocument`] `create`/`decrypt`), once per AES
-//! backend, plus the raw block-cipher speed underneath it — same run,
-//! same machine.
+//! backend, plus the raw block-cipher speed underneath it and SHA-256
+//! per compression engine — same run, same machine.
 
 use pe_core::{DocumentKey, IncrementalCipherDoc, RecbDocument, SchemeParams};
 use pe_crypto::aes::FORCE_BACKEND_ENV;
+use pe_crypto::sha256::{Sha256, ShaBackend};
 use pe_crypto::{AesBackend, BlockCipher, CtrDrbg};
 
 use crate::timing::timed;
@@ -72,6 +73,35 @@ pub fn raw_cipher_throughput(backends: &[AesBackend], reps: usize) -> Vec<Cipher
                 encrypt_mib_s: mib / enc_s,
                 decrypt_mib_s: mib / dec_s,
             }
+        })
+        .collect()
+}
+
+/// SHA-256 throughput for one compression engine: a 1 MiB digest.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShaRow {
+    /// Engine measured (`scalar`/`shani`).
+    pub sha_backend: &'static str,
+    /// Digest throughput, MiB/s.
+    pub mib_s: f64,
+}
+
+/// Measures a 1 MiB SHA-256 digest per engine (best of `reps`).
+pub fn sha_throughput(backends: &[ShaBackend], reps: usize) -> Vec<ShaRow> {
+    let data = sample_text(1024 * 1024);
+    backends
+        .iter()
+        .map(|&backend| {
+            let mut best = f64::INFINITY;
+            for _ in 0..reps.max(1) {
+                let (_, t) = timed(|| {
+                    let mut hasher = Sha256::with_backend(backend);
+                    hasher.update(&data);
+                    hasher.finalize()
+                });
+                best = best.min(t.as_secs_f64());
+            }
+            ShaRow { sha_backend: Sha256::with_backend(backend).backend().name(), mib_s: 1.0 / best }
         })
         .collect()
 }
@@ -146,13 +176,19 @@ pub fn crypto_throughput_matrix(
 }
 
 /// Renders the rows as the JSON document committed as `BENCH_crypto.json`.
-pub fn render_json(rows: &[ThroughputRow], cipher_rows: &[CipherRow], reps: usize) -> String {
+pub fn render_json(
+    rows: &[ThroughputRow],
+    cipher_rows: &[CipherRow],
+    sha_rows: &[ShaRow],
+    reps: usize,
+) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"crypto_throughput\",\n");
     out.push_str("  \"mode\": \"recb\",\n");
     out.push_str("  \"block_size\": 8,\n");
     out.push_str(&format!("  \"reps\": {reps},\n"));
     out.push_str(&format!("  \"aesni_supported\": {},\n", AesBackend::aesni_supported()));
+    out.push_str(&format!("  \"shani_supported\": {},\n", ShaBackend::shani_supported()));
     out.push_str("  \"rows\": [\n");
     for (i, row) in rows.iter().enumerate() {
         out.push_str(&format!(
@@ -178,6 +214,16 @@ pub fn render_json(rows: &[ThroughputRow], cipher_rows: &[CipherRow], reps: usiz
             if i + 1 == cipher_rows.len() { "" } else { "," },
         ));
     }
+    out.push_str("  ],\n");
+    out.push_str("  \"sha_rows\": [\n");
+    for (i, row) in sha_rows.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"sha_backend\": \"{}\", \"mib_s\": {:.2}}}{}\n",
+            row.sha_backend,
+            row.mib_s,
+            if i + 1 == sha_rows.len() { "" } else { "," },
+        ));
+    }
     out.push_str("  ]\n}\n");
     out
 }
@@ -200,7 +246,8 @@ mod tests {
     fn json_report_is_well_formed() {
         let rows = crypto_throughput(&[512], 1, 9);
         let cipher_rows = raw_cipher_throughput(&[AesBackend::select()], 1);
-        let json = render_json(&rows, &cipher_rows, 1);
+        let sha_rows = sha_throughput(&[ShaBackend::Scalar], 1);
+        let json = render_json(&rows, &cipher_rows, &sha_rows, 1);
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         assert!(json.contains("\"size_bytes\": 512"));
         assert!(json.contains("\"throughput_mib_s\""));
@@ -208,6 +255,9 @@ mod tests {
         assert!(json.contains("\"aesni_supported\": "));
         assert!(json.contains("\"cipher_rows\""));
         assert!(json.contains("\"encrypt_mib_s\""));
+        assert!(json.contains("\"sha_rows\""));
+        assert!(json.contains("\"sha_backend\": \"scalar\""));
+        assert!(json.contains("\"shani_supported\": "));
         // Balanced braces/brackets (a cheap structural check without a
         // JSON parser in the dependency set).
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -144,6 +144,13 @@ fn hash_bytes(content: &[u8]) -> String {
     hex::encode(&Sha256::digest(content)[..8])
 }
 
+/// Stored bytes as text, keeping their buffer. Saves are checked to be
+/// UTF-8, so the lossy copy is only for bytes that got in otherwise.
+pub fn stored_text(content: Vec<u8>) -> String {
+    String::from_utf8(content)
+        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
+}
+
 impl DocsServer {
     /// Creates a server with no documents, backed by an in-memory store.
     pub fn new() -> DocsServer {
@@ -195,7 +202,7 @@ impl DocsServer {
 
     /// Direct (test/bench) access to a document's stored content.
     pub fn stored_content(&self, doc_id: &str) -> Option<String> {
-        self.store.content(doc_id).map(|b| String::from_utf8_lossy(&b).into_owned())
+        self.store.content(doc_id).map(stored_text)
     }
 
     /// A document's version counter (the change stream's head after a
@@ -330,7 +337,7 @@ impl DocsServer {
         let Some((content, version)) = self.store.current(doc_id) else {
             return Response::error(404, "no such document");
         };
-        let content = String::from_utf8_lossy(&content).into_owned();
+        let content = stored_text(content);
         let hash = Self::content_hash(&content);
         Response::ok(form::encode_pairs(&[
             ("sessionID", session.as_str()),
@@ -407,7 +414,7 @@ impl DocsServer {
         let Some((content, version)) = self.store.current(doc_id) else {
             return Response::error(404, "no such document");
         };
-        let content = String::from_utf8_lossy(&content).into_owned();
+        let content = stored_text(content);
         let hash = Self::content_hash(&content);
         let version = version.to_string();
         // 304-style fast path for passive readers: when the caller already

@@ -32,7 +32,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use pe_cloud::docs::{DocsServer, SaveChange};
+use pe_cloud::docs::{self, DocsServer, SaveChange};
 use pe_cloud::{CloudService, Method, Request, Response};
 use pe_crypto::form;
 use pe_net::{Served, Service, Waker};
@@ -139,7 +139,7 @@ impl LiveDocs {
                 let Some((content, version)) = self.docs.store().current(doc_id) else {
                     return Response::error(404, "no such document");
                 };
-                let content = String::from_utf8_lossy(&content).into_owned();
+                let content = docs::stored_text(content);
                 pairs.push(("resync".into(), "1".into()));
                 pairs.push(("seq".into(), version.to_string()));
                 pairs.push(("contentHash".into(), DocsServer::content_hash(&content)));

@@ -23,7 +23,7 @@ use crate::keys::{DocumentKey, Mode, SchemeParams};
 use crate::pack::{chunks, pad8, SealedBlock};
 use crate::splice::{plan, SplicePlan};
 use crate::wire::{
-    decode_record, encode_record, split_records, CipherPatch, Layout, Preamble,
+    self, decode_record, encode_record, split_records, CipherPatch, Layout, Preamble,
 };
 use crate::{EditOp, IncrementalCipherDoc};
 
@@ -169,11 +169,8 @@ impl IncrementalCipherDoc for XorDocument {
     }
 
     fn serialize(&self) -> String {
-        let mut out = Preamble::new(&self.params, self.salt).encode();
-        for block in self.blocks.iter() {
-            out.push_str(&encode_record(block.tag(), &block.cipher));
-        }
-        out
+        let records = self.blocks.iter().map(|block| (block.tag(), &block.cipher));
+        wire::serialize_records(&Preamble::new(&self.params, self.salt), records)
     }
 
     fn layout(&self) -> Layout {

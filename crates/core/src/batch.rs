@@ -1,22 +1,14 @@
-//! Batched and parallel application of the block cipher.
+//! Batched application of the block cipher.
 //!
 //! Full-document operations (`Enc`, `Dec`, and the mediator's full-save
 //! path) touch every block, so their cost is `blocks × per-block AES`.
 //! The schemes assemble all plaintext/ciphertext blocks into one
-//! contiguous buffer and hand it to [`apply_cipher`], which either runs
-//! the cipher's batch loop in place or — above a size threshold — fans
-//! the buffer out across scoped worker threads.
-//!
-//! Two invariants keep the parallel path byte-identical to the serial
-//! one:
-//!
-//! * **Nonce draws stay sequential.** Callers draw every nonce from the
-//!   document DRBG *before* calling in here; the workers only run AES on
-//!   already-packed blocks, so the ciphertext does not depend on the
-//!   worker count.
-//! * **Order is preserved.** The buffer is split into contiguous chunks,
-//!   each worker encrypts its chunk in place, and the scoped join puts
-//!   the caller back in control with the blocks exactly where they were.
+//! contiguous buffer and hand it to [`apply_cipher`], which runs the
+//! cipher's batch loop over it in place, on the caller's thread: AES-NI
+//! keeps eight blocks in flight, so a 64 KiB document's 8,192 blocks are
+//! tens of microseconds of cipher work, less than spawning a thread
+//! costs. Callers draw every nonce before the batch, sequentially, so the
+//! ciphertext depends only on the document's nonce stream.
 
 use pe_crypto::BlockCipher;
 
@@ -29,96 +21,12 @@ pub(crate) enum Direction {
     Decrypt,
 }
 
-/// Documents with at least this many blocks are candidates for the
-/// scoped-thread fan-out (8 KiB of plaintext at the default `b = 8`).
-/// Below it, thread spawn/join overhead dominates the AES work.
-pub(crate) const PARALLEL_THRESHOLD_BLOCKS: usize = 1024;
-
-/// Minimum number of blocks each worker must receive; caps the worker
-/// count so tiny tails never get their own thread.
-const MIN_BLOCKS_PER_WORKER: usize = 512;
-
-/// Picks the worker count for a batch of `blocks`: 1 (serial) below the
-/// threshold, otherwise up to `N_cpu` workers with at least
-/// [`MIN_BLOCKS_PER_WORKER`] blocks each.
-pub(crate) fn auto_workers(blocks: usize) -> usize {
-    if blocks < PARALLEL_THRESHOLD_BLOCKS {
-        return 1;
-    }
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    cores.clamp(1, (blocks / MIN_BLOCKS_PER_WORKER).max(1))
-}
-
-/// Runs the cipher over every block of `blocks` in place, in order,
-/// using `workers` scoped threads when `workers > 1`.
-///
-/// Records `core.batch.blocks_per_call`, and counts the batch in
-/// `core.batch.parallel_saves` when the fan-out engages.
-pub(crate) fn apply_cipher<C: BlockCipher + Sync>(
-    cipher: &C,
-    blocks: &mut [[u8; 16]],
-    direction: Direction,
-    workers: usize,
-) {
+/// Runs the cipher over every block of `blocks` in place, in order, and
+/// records the batch size in `core.batch.blocks_per_call`.
+pub(crate) fn apply_cipher<C: BlockCipher>(cipher: &C, blocks: &mut [[u8; 16]], direction: Direction) {
     pe_observe::static_histogram!("core.batch.blocks_per_call").record(blocks.len() as u64);
-    if workers > 1 && blocks.len() > 1 {
-        pe_observe::static_counter!("core.batch.parallel_saves").inc();
-        let chunk = blocks.len().div_ceil(workers.min(blocks.len()));
-        crossbeam::thread::scope(|scope| {
-            for part in blocks.chunks_mut(chunk) {
-                scope.spawn(move |_| match direction {
-                    Direction::Encrypt => cipher.encrypt_blocks(part),
-                    Direction::Decrypt => cipher.decrypt_blocks(part),
-                });
-            }
-        })
-        .expect("cipher workers do not panic");
-    } else {
-        match direction {
-            Direction::Encrypt => cipher.encrypt_blocks(blocks),
-            Direction::Decrypt => cipher.decrypt_blocks(blocks),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pe_crypto::Aes128;
-
-    fn blocks(n: usize) -> Vec<[u8; 16]> {
-        (0..n)
-            .map(|i| {
-                let mut b = [0u8; 16];
-                b[..8].copy_from_slice(&(i as u64).to_be_bytes());
-                b
-            })
-            .collect()
-    }
-
-    #[test]
-    fn parallel_matches_serial_for_both_directions() {
-        let cipher = Aes128::new(&[0x42u8; 16]);
-        for n in [1usize, 2, 3, 1000, 2049] {
-            let mut serial = blocks(n);
-            let mut parallel = serial.clone();
-            apply_cipher(&cipher, &mut serial, Direction::Encrypt, 1);
-            apply_cipher(&cipher, &mut parallel, Direction::Encrypt, 4);
-            assert_eq!(serial, parallel, "encrypt n={n}");
-            apply_cipher(&cipher, &mut serial, Direction::Decrypt, 1);
-            apply_cipher(&cipher, &mut parallel, Direction::Decrypt, 7);
-            assert_eq!(serial, parallel, "decrypt n={n}");
-            assert_eq!(serial, blocks(n), "roundtrip n={n}");
-        }
-    }
-
-    #[test]
-    fn auto_workers_is_serial_below_threshold() {
-        assert_eq!(auto_workers(0), 1);
-        assert_eq!(auto_workers(PARALLEL_THRESHOLD_BLOCKS - 1), 1);
-        assert!(auto_workers(PARALLEL_THRESHOLD_BLOCKS) >= 1);
-        // Never more workers than the per-worker minimum allows.
-        let w = auto_workers(PARALLEL_THRESHOLD_BLOCKS);
-        assert!(w <= 2, "1024 blocks allow at most 2 workers, got {w}");
+    match direction {
+        Direction::Encrypt => cipher.encrypt_blocks(blocks),
+        Direction::Decrypt => cipher.decrypt_blocks(blocks),
     }
 }

@@ -177,7 +177,7 @@ pub trait IncrementalCipherDoc {
     /// [`serialize`](Self::serialize). The provided implementation edits
     /// the document in two splices; [`RecbDocument`] and [`RpcDocument`]
     /// override it with a batch seal path that packs and encrypts all
-    /// blocks in one (possibly parallel) pass.
+    /// blocks in one pass.
     ///
     /// # Errors
     ///

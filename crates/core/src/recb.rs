@@ -30,9 +30,7 @@ use crate::error::CoreError;
 use crate::keys::{DocumentKey, Mode, SchemeParams};
 use crate::pack::{chunk_count, chunks, pad8, SealScratch, SealedBlock};
 use crate::splice::{plan, SplicePlan};
-use crate::wire::{
-    decode_record, encode_record, split_records, CipherPatch, Layout, Preamble,
-};
+use crate::wire::{self, decode_record, encode_record, CipherPatch, Layout, Preamble};
 use crate::{EditOp, IncrementalCipherDoc, PlainSplice};
 
 /// Domain-separation magic stored in the header block's right half.
@@ -155,9 +153,8 @@ impl<S: BlockSeq<SealedBlock> + Default> RecbDocument<S> {
             rng,
             scratch: SealScratch::default(),
         };
-        let workers = batch::auto_workers(chunk_count(plaintext.len(), params.max_block));
         let mut sealed = Vec::new();
-        doc.seal_all(plaintext, workers, &mut sealed);
+        doc.seal_all(plaintext, &mut sealed);
         doc.blocks.extend_back(sealed);
         Ok(doc)
     }
@@ -189,12 +186,13 @@ impl<S: BlockSeq<SealedBlock> + Default> RecbDocument<S> {
                 detail: "key salt does not match document preamble".into(),
             });
         }
-        let records = split_records(serialized)?;
-        if records.is_empty() {
-            return Err(CoreError::Malformed { detail: "missing header record".into() });
-        }
+        // Records are decoded where they lie in `serialized`.
+        let mut records = wire::records(serialized)?;
+        let header = records
+            .next()
+            .ok_or_else(|| CoreError::Malformed { detail: "missing header record".into() })?;
         let cipher = key.cipher();
-        let (tag, header_cipher) = decode_record(records[0])?;
+        let (tag, header_cipher) = decode_record(header)?;
         if tag != '0' {
             return Err(CoreError::Malformed { detail: "first record is not a header".into() });
         }
@@ -208,8 +206,8 @@ impl<S: BlockSeq<SealedBlock> + Default> RecbDocument<S> {
         }
         let mut r0 = [0u8; 8];
         r0.copy_from_slice(&header[..8]);
-        let mut parsed = Vec::with_capacity(records.len() - 1);
-        for record in &records[1..] {
+        let mut parsed = Vec::with_capacity(records.len());
+        for record in records {
             let (tag, block_cipher) = decode_record(record)?;
             let len = tag.to_digit(10).filter(|d| (1..=8).contains(d)).ok_or_else(|| {
                 CoreError::Malformed { detail: format!("invalid data record tag {tag:?}") }
@@ -251,12 +249,11 @@ impl<S: BlockSeq<SealedBlock>> RecbDocument<S> {
     /// Seals every chunk of `text` into fresh blocks appended to `out`
     /// (the batch `Enc` path).
     ///
-    /// Nonces are drawn from the document DRBG **sequentially** while the
-    /// blocks are packed; only the AES applications fan out when
-    /// `workers > 1`, so the ciphertext is byte-identical for every
-    /// worker count. The packing and nonce buffers are the document's
-    /// reused [`SealScratch`], so repeated saves do not allocate.
-    fn seal_all(&mut self, text: &[u8], workers: usize, out: &mut Vec<SealedBlock>) {
+    /// Nonces are drawn from the document DRBG while the blocks are
+    /// packed, then one batch call encrypts them all. The packing and
+    /// nonce buffers are the document's reused [`SealScratch`], so
+    /// repeated saves do not allocate.
+    fn seal_all(&mut self, text: &[u8], out: &mut Vec<SealedBlock>) {
         let n = chunk_count(text.len(), self.params.max_block);
         // One bulk draw for every block nonce: a NonceSource is a byte
         // stream, so this yields the same bytes as n sequential 8-byte
@@ -277,7 +274,7 @@ impl<S: BlockSeq<SealedBlock>> RecbDocument<S> {
             self.scratch.bufs.push(block);
             self.scratch.lens.push(chunk.len() as u8);
         }
-        batch::apply_cipher(&self.cipher, &mut self.scratch.bufs, Direction::Encrypt, workers);
+        batch::apply_cipher(&self.cipher, &mut self.scratch.bufs, Direction::Encrypt);
         pe_observe::static_counter!("core.blocks_sealed.recb").add(n as u64);
         out.reserve(n);
         out.extend(
@@ -291,7 +288,7 @@ impl<S: BlockSeq<SealedBlock>> RecbDocument<S> {
 
     /// Opens (decrypts) a run of `n` blocks, appending their plaintext to
     /// `out` (the batch `Dec` path): one contiguous scratch buffer for the
-    /// AES work instead of a `Vec` per block, fanned out for long runs.
+    /// AES work instead of a `Vec` per block.
     fn open_run<'a>(
         &self,
         run: impl Iterator<Item = &'a SealedBlock>,
@@ -304,7 +301,7 @@ impl<S: BlockSeq<SealedBlock>> RecbDocument<S> {
             bufs.push(sealed.cipher);
             lens.push(sealed.len);
         }
-        batch::apply_cipher(&self.cipher, &mut bufs, Direction::Decrypt, batch::auto_workers(n));
+        batch::apply_cipher(&self.cipher, &mut bufs, Direction::Decrypt);
         out.reserve(lens.iter().map(|&len| usize::from(len)).sum());
         // dᵢ = right ⊕ rᵢ = right ⊕ (left ⊕ r0), a whole-word XOR.
         let r0w = u64::from_ne_bytes(self.r0);
@@ -351,9 +348,8 @@ impl<S: BlockSeq<SealedBlock> + Default> IncrementalCipherDoc for RecbDocument<S
         for _ in 0..removed {
             self.blocks.remove(start_block);
         }
-        let workers = batch::auto_workers(chunk_count(content.len(), self.params.max_block));
         let mut sealed_blocks = Vec::new();
-        self.seal_all(&content, workers, &mut sealed_blocks);
+        self.seal_all(&content, &mut sealed_blocks);
         let mut inserted = Vec::with_capacity(sealed_blocks.len());
         for (i, sealed) in sealed_blocks.into_iter().enumerate() {
             inserted.push(encode_record(sealed.tag(), &sealed.cipher));
@@ -414,11 +410,10 @@ impl<S: BlockSeq<SealedBlock> + Default> IncrementalCipherDoc for RecbDocument<S
     }
 
     /// Full-document replacement via the batch seal path: one nonce pass,
-    /// one (possibly parallel) AES pass, no per-edit splice planning.
+    /// one AES pass, no per-edit splice planning.
     fn replace_all(&mut self, plaintext: &[u8]) -> Result<(), CoreError> {
-        let workers = batch::auto_workers(chunk_count(plaintext.len(), self.params.max_block));
         let mut sealed = Vec::new();
-        self.seal_all(plaintext, workers, &mut sealed);
+        self.seal_all(plaintext, &mut sealed);
         let mut blocks = S::default();
         blocks.extend_back(sealed);
         self.blocks = blocks;
@@ -426,12 +421,9 @@ impl<S: BlockSeq<SealedBlock> + Default> IncrementalCipherDoc for RecbDocument<S
     }
 
     fn serialize(&self) -> String {
-        let mut out = Preamble::new(&self.params, self.salt).encode();
-        out.push_str(&encode_record('0', &self.header_cipher));
-        for block in self.blocks.iter() {
-            out.push_str(&encode_record(block.tag(), &block.cipher));
-        }
-        out
+        let header = std::iter::once(('0', &self.header_cipher));
+        let data = self.blocks.iter().map(|block| (block.tag(), &block.cipher));
+        wire::serialize_records(&Preamble::new(&self.params, self.salt), header.chain(data))
     }
 
     fn layout(&self) -> Layout {
@@ -520,7 +512,7 @@ mod tests {
         let d = doc(b"AAAAAAAAAAAAAAAA", 8, 12);
         let records = {
             let wire = d.serialize();
-            split_records(&wire).unwrap().iter().map(|r| r.to_string()).collect::<Vec<_>>()
+            wire::split_records(&wire).unwrap().iter().map(|r| r.to_string()).collect::<Vec<_>>()
         };
         assert_eq!(records.len(), 3);
         assert_ne!(records[1], records[2], "fresh nonces must differ per block");
@@ -614,7 +606,7 @@ mod tests {
         let d = doc(b"AAAAAAAABBBBBBBB", 8, 20);
         let wire = d.serialize();
         let records: Vec<String> =
-            split_records(&wire).unwrap().iter().map(|r| r.to_string()).collect();
+            wire::split_records(&wire).unwrap().iter().map(|r| r.to_string()).collect();
         let swapped = format!(
             "{}{}{}{}",
             &wire[..Layout::standard().preamble_chars],
@@ -652,26 +644,6 @@ mod tests {
         // what the AVL document wrote.
         let reopened = RecbDocument::open(&key(), &server, CtrDrbg::from_seed(41)).unwrap();
         assert_eq!(reopened.decrypt().unwrap(), avl_doc.decrypt().unwrap());
-    }
-
-    #[test]
-    fn forced_parallel_seal_is_byte_identical_to_serial() {
-        // Two empty documents created from the same seed share r0 and the
-        // DRBG state. Sealing the same text with different worker counts
-        // must produce byte-identical blocks, because nonce draws stay
-        // sequential and only the AES applications fan out.
-        let text: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
-        let mut serial = doc(b"", 8, 42);
-        let mut parallel = doc(b"", 8, 42);
-        let mut a = Vec::new();
-        serial.seal_all(&text, 1, &mut a);
-        let mut b = Vec::new();
-        parallel.seal_all(&text, 4, &mut b);
-        assert_eq!(a, b, "worker count must not change the ciphertext");
-        for (i, sealed) in a.into_iter().enumerate() {
-            serial.blocks.insert(i, sealed);
-        }
-        assert_eq!(serial.decrypt().unwrap(), text);
     }
 
     #[test]

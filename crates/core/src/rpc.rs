@@ -41,9 +41,7 @@ use crate::error::CoreError;
 use crate::keys::{DocumentKey, Mode, SchemeParams};
 use crate::pack::{chunk_count, chunks, SealScratch, SealedBlock};
 use crate::splice::{plan, SplicePlan};
-use crate::wire::{
-    decode_record, encode_record, split_records, CipherPatch, Layout, Preamble,
-};
+use crate::wire::{self, decode_record, encode_record, CipherPatch, Layout, Preamble};
 use crate::{EditOp, IncrementalCipherDoc, PlainSplice};
 
 /// Header magic (the paper's α marker).
@@ -187,9 +185,8 @@ impl RpcDocument {
         // Draw chain nonces: r1 … rn, closing back to r0.
         let r_in = if n == 0 { r0 } else { doc.rng.next_u32() };
         doc.reseal_header(r_in);
-        let workers = batch::auto_workers(n);
         let mut sealed = Vec::new();
-        doc.seal_all(plaintext, r_in, r0, workers, &mut sealed);
+        doc.seal_all(plaintext, r_in, r0, &mut sealed);
         doc.blocks.extend_back(sealed);
         doc.reseal_checksum();
         Ok(doc)
@@ -222,25 +219,24 @@ impl RpcDocument {
                 detail: format!("RPC block size {} exceeds {RPC_MAX_BLOCK}", preamble.max_block),
             });
         }
-        let records = split_records(serialized)?;
-        if records.len() < 2 {
+        // Records are decoded where they lie in `serialized`.
+        let mut records = wire::records(serialized)?;
+        let (Some(header), Some(checksum)) = (records.next(), records.next_back()) else {
             return Err(CoreError::Malformed {
                 detail: "RPC document needs header and checksum records".into(),
             });
-        }
+        };
         let cipher = key.cipher();
-        let (htag, header_cipher) = decode_record(records[0])?;
+        let (htag, header_cipher) = decode_record(header)?;
         if htag != '0' {
             return Err(CoreError::Malformed { detail: "first record is not a header".into() });
         }
-        let (ctag, checksum_cipher) = decode_record(records[records.len() - 1])?;
+        let (ctag, checksum_cipher) = decode_record(checksum)?;
         if ctag != '9' {
             return Err(CoreError::Malformed { detail: "last record is not a checksum".into() });
         }
-        let parsed = records[1..records.len() - 1]
-            .iter()
-            .map(|record| decode_data_record(record))
-            .collect::<Result<Vec<SealedBlock>, CoreError>>()?;
+        let parsed =
+            records.map(decode_data_record).collect::<Result<Vec<SealedBlock>, CoreError>>()?;
         // Full verification also recovers r0, the aggregates, and every
         // block's chain values.
         let verified =
@@ -307,7 +303,6 @@ impl RpcDocument {
         text: &[u8],
         r_in_first: u32,
         r_out_last: u32,
-        workers: usize,
         out: &mut Vec<ChainedBlock>,
     ) {
         let n = chunk_count(text.len(), self.params.max_block);
@@ -342,7 +337,7 @@ impl RpcDocument {
             out.push(ChainedBlock { sealed, r_in, mid });
             r_in = r_out;
         }
-        batch::apply_cipher(&self.cipher, &mut self.scratch.bufs, Direction::Encrypt, workers);
+        batch::apply_cipher(&self.cipher, &mut self.scratch.bufs, Direction::Encrypt);
         pe_observe::static_counter!("core.blocks_sealed.rpc").add(n as u64);
         for (block, cipher) in out[first..].iter_mut().zip(&self.scratch.bufs) {
             block.sealed.cipher = *cipher;
@@ -465,16 +460,14 @@ impl RpcDocument {
     ) -> Result<Verified, CoreError> {
         let (r0, mut expected) = Self::open_header(cipher, header_cipher)?;
         // Batch-decrypt every data block in one pass, then walk the
-        // decrypted buffers in order checking the chain. The chain checks
-        // are pure reads, so decryption order does not matter and the
-        // batch (possibly parallel) pass is safe.
+        // decrypted buffers in order checking the chain.
         let mut bufs: Vec<[u8; 16]> = Vec::with_capacity(n);
         let mut tags: Vec<u8> = Vec::with_capacity(n);
         for sealed in blocks {
             bufs.push(sealed.cipher);
             tags.push(sealed.len);
         }
-        batch::apply_cipher(cipher, &mut bufs, Direction::Decrypt, batch::auto_workers(n));
+        batch::apply_cipher(cipher, &mut bufs, Direction::Decrypt);
         let mut xor_r = 0u32;
         let mut xor_mid = 0u64;
         let mut links = Vec::with_capacity(n);
@@ -516,7 +509,7 @@ impl RpcDocument {
 
 /// Decodes one data record into its sealed block (public tag checked
 /// against the RPC block limit; the sealed count is checked on open).
-fn decode_data_record(record: &str) -> Result<SealedBlock, CoreError> {
+fn decode_data_record(record: &[u8]) -> Result<SealedBlock, CoreError> {
     let (tag, cipher) = decode_record(record)?;
     let len = tag
         .to_digit(10)
@@ -615,9 +608,8 @@ impl IncrementalCipherDoc for RpcDocument {
                 data_patch = CipherPatch::splice(1 + pred, 1 + removed, vec![record]);
             }
         } else {
-            let workers = batch::auto_workers(n);
             let mut sealed_run = Vec::new();
-            self.seal_all(&content, chain_in, chain_out, workers, &mut sealed_run);
+            self.seal_all(&content, chain_in, chain_out, &mut sealed_run);
             let mut inserted = Vec::with_capacity(n);
             for (i, block) in sealed_run.into_iter().enumerate() {
                 inserted.push(encode_record(block.sealed.tag(), &block.sealed.cipher));
@@ -700,7 +692,7 @@ impl IncrementalCipherDoc for RpcDocument {
             let mut blocks = Vec::with_capacity(inserted.len());
             let mut plain = Vec::new();
             for record in inserted {
-                let sealed = decode_data_record(record)?;
+                let sealed = decode_data_record(record.as_bytes())?;
                 let opened = Self::open_cipher(&self.cipher, &sealed.cipher)?;
                 if opened.r_in != expected {
                     return Err(integrity("nonce chain broken at a splice edge".into()));
@@ -759,22 +751,19 @@ impl IncrementalCipherDoc for RpcDocument {
         // Fresh chain under the unchanged document nonce r0.
         let r_in = if n == 0 { self.r0 } else { self.rng.next_u32() };
         self.reseal_header(r_in);
-        let workers = batch::auto_workers(n);
         let mut sealed = Vec::new();
-        self.seal_all(plaintext, r_in, self.r0, workers, &mut sealed);
+        self.seal_all(plaintext, r_in, self.r0, &mut sealed);
         self.blocks.extend_back(sealed);
         self.reseal_checksum();
         Ok(())
     }
 
     fn serialize(&self) -> String {
-        let mut out = Preamble::new(&self.params, self.salt).encode();
-        out.push_str(&encode_record('0', &self.header_cipher));
-        for block in self.blocks.iter() {
-            out.push_str(&encode_record(block.sealed.tag(), &block.sealed.cipher));
-        }
-        out.push_str(&encode_record('9', &self.checksum_cipher));
-        out
+        let header = std::iter::once(('0', &self.header_cipher));
+        let data = self.blocks.iter().map(|block| (block.sealed.tag(), &block.sealed.cipher));
+        let checksum = std::iter::once(('9', &self.checksum_cipher));
+        let records = header.chain(data).chain(checksum);
+        wire::serialize_records(&Preamble::new(&self.params, self.salt), records)
     }
 
     fn layout(&self) -> Layout {
@@ -785,7 +774,7 @@ impl IncrementalCipherDoc for RpcDocument {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::apply_patches;
+    use crate::wire::{apply_patches, split_records};
     use pe_crypto::CtrDrbg;
 
     fn key() -> DocumentKey {
@@ -994,28 +983,6 @@ mod tests {
             }
             other => panic!("expected IntegrityFailure, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn forced_parallel_seal_is_byte_identical_to_serial() {
-        // Same-seed empty documents share r0 and DRBG state; sealing the
-        // same text with different worker counts must give identical
-        // blocks and identical checksum aggregates.
-        let text: Vec<u8> = (0..20_000u32).map(|i| (i % 241) as u8).collect();
-        let mut serial = doc(b"", 7, 42);
-        let mut parallel = doc(b"", 7, 42);
-        let r_in_s = serial.rng.next_u32();
-        let r_in_p = parallel.rng.next_u32();
-        assert_eq!(r_in_s, r_in_p);
-        let mut a = Vec::new();
-        let r0_s = serial.r0;
-        serial.seal_all(&text, r_in_s, r0_s, 1, &mut a);
-        let mut b = Vec::new();
-        let r0_p = parallel.r0;
-        parallel.seal_all(&text, r_in_p, r0_p, 4, &mut b);
-        assert_eq!(a, b, "worker count must not change the ciphertext");
-        assert_eq!(serial.xor_r, parallel.xor_r);
-        assert_eq!(serial.xor_mid, parallel.xor_mid);
     }
 
     #[test]

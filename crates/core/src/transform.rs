@@ -155,6 +155,27 @@ impl<D: IncrementalCipherDoc> DeltaTransformer<D> {
         DeltaTransformer { doc, ciphertext }
     }
 
+    /// Wraps a document opened from `serialized`, keeping that text as
+    /// the mirror instead of serializing the document again:
+    /// [`wire::canonicalize`] re-encodes its preamble and upper-cases its
+    /// records in place, which is exactly what `doc` serializes to.
+    ///
+    /// Later saves splice the mirror in place, so it gets the room a
+    /// string built by appending would have: capacity up to the next
+    /// power of two, not the exact length the text arrived with (whose
+    /// first growing splice would double it).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Malformed`] when `serialized` has no valid preamble.
+    pub fn opened(doc: D, mut serialized: String) -> Result<DeltaTransformer<D>, CoreError> {
+        wire::canonicalize(&mut serialized)?;
+        let room = serialized.len().next_power_of_two();
+        serialized.reserve_exact(room - serialized.len());
+        debug_assert_eq!(serialized, doc.serialize());
+        Ok(DeltaTransformer { doc, ciphertext: serialized })
+    }
+
     /// The encrypted document.
     pub fn doc(&self) -> &D {
         &self.doc
@@ -252,7 +273,7 @@ impl<D: IncrementalCipherDoc> DeltaTransformer<D> {
     ///
     /// Delegates to [`IncrementalCipherDoc::replace_all`], so schemes with
     /// a batch seal path (rECB, RPC) re-encrypt the whole document in one
-    /// — possibly parallel — pass instead of two block-by-block splices.
+    /// pass instead of two block-by-block splices.
     ///
     /// Returns the new serialized ciphertext.
     ///

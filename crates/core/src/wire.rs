@@ -101,14 +101,22 @@ impl Preamble {
 
     /// Encodes the preamble (always [`PREAMBLE_CHARS`] characters).
     pub fn encode(&self) -> String {
-        let s = format!(
-            "PE1;{};b{};{};",
-            self.mode.tag(),
-            self.max_block,
-            base32::encode_unpadded(&self.salt)
-        );
-        debug_assert_eq!(s.len(), PREAMBLE_CHARS);
-        s
+        let mut out = String::new();
+        self.push_to(&mut out);
+        out
+    }
+
+    /// Appends the encoded preamble to `out`.
+    fn push_to(&self, out: &mut String) {
+        let start = out.len();
+        out.push_str("PE1;");
+        out.push(self.mode.tag());
+        out.push_str(";b");
+        out.push(char::from(b'0' + self.max_block as u8));
+        out.push(';');
+        push_base32(out, &self.salt);
+        out.push(';');
+        debug_assert_eq!(out.len() - start, PREAMBLE_CHARS);
     }
 
     /// Parses a preamble from the start of a serialized document.
@@ -141,70 +149,121 @@ impl Preamble {
             .filter(|b| (1..=8).contains(b))
             .ok_or_else(|| malformed("invalid block size field"))?;
         let salt_field = fields.next().ok_or_else(|| malformed("missing salt"))?;
-        let salt_bytes = base32::decode_unpadded(salt_field)
+        let salt = base32::decode_block(salt_field.as_bytes())
             .map_err(|_| malformed("invalid salt encoding"))?;
-        let salt: [u8; 16] =
-            salt_bytes.try_into().map_err(|_| malformed("salt must be 16 bytes"))?;
         Ok(Preamble { mode, max_block, salt })
     }
 }
 
+/// Appends the Base32 of a 16-byte block (upper case).
+fn push_base32(out: &mut String, block: &[u8; 16]) {
+    let chars = base32::encode_block(block);
+    out.extend(chars.iter().map(|&c| char::from(c)));
+}
+
 /// Encodes one record: tag character + Base32 of the 16-byte block.
 pub fn encode_record(tag: char, block: &[u8; 16]) -> String {
-    debug_assert!(tag.is_ascii_digit());
     let mut out = String::with_capacity(RECORD_CHARS);
-    out.push(tag);
-    out.push_str(&base32::encode_unpadded(block));
+    push_record(&mut out, tag, block);
     out
 }
 
-/// Decodes one record into its tag and block.
+/// Appends one record to a serialized document.
+pub fn push_record(out: &mut String, tag: char, block: &[u8; 16]) {
+    debug_assert!(tag.is_ascii_digit());
+    out.push(tag);
+    push_base32(out, block);
+}
+
+/// Decodes one record (its [`RECORD_CHARS`] bytes) into its tag and
+/// block. Allocates nothing unless it fails.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::Malformed`] for wrong length, an invalid tag, or
 /// invalid Base32.
-pub fn decode_record(text: &str) -> Result<(char, [u8; 16]), CoreError> {
+pub fn decode_record(text: impl AsRef<[u8]>) -> Result<(char, [u8; 16]), CoreError> {
+    let text = text.as_ref();
     if text.len() != RECORD_CHARS {
         return Err(CoreError::Malformed {
             detail: format!("record must be {RECORD_CHARS} chars, got {}", text.len()),
         });
     }
-    let tag = text.chars().next().expect("non-empty");
-    if !tag.is_ascii_digit() || !text.is_ascii() {
-        return Err(CoreError::Malformed { detail: format!("invalid record tag {tag:?}") });
+    let tag = text[0];
+    if !tag.is_ascii_digit() {
+        return Err(CoreError::Malformed {
+            detail: format!("invalid record tag {:?}", char::from(tag)),
+        });
     }
-    let body = base32::decode_unpadded(&text[1..])
+    let block = base32::decode_block(&text[1..])
         .map_err(|e| CoreError::Malformed { detail: format!("invalid record body: {e}") })?;
-    let block: [u8; 16] = body
-        .try_into()
-        .map_err(|_| CoreError::Malformed { detail: "record body must be 16 bytes".into() })?;
-    Ok((tag, block))
+    Ok((char::from(tag), block))
+}
+
+/// The records of a serialized document, in place: an iterator over
+/// their [`RECORD_CHARS`]-byte slices, for [`decode_record`].
+///
+/// # Errors
+///
+/// Returns [`CoreError::Malformed`] when the text is shorter than the
+/// preamble or its record region is not a whole number of records.
+pub fn records(text: &str) -> Result<std::slice::ChunksExact<'_, u8>, CoreError> {
+    if text.len() < PREAMBLE_CHARS || !text.is_char_boundary(PREAMBLE_CHARS) {
+        return Err(CoreError::Malformed { detail: "document shorter than preamble".into() });
+    }
+    let body = &text.as_bytes()[PREAMBLE_CHARS..];
+    if !body.len().is_multiple_of(RECORD_CHARS) {
+        return Err(CoreError::Malformed {
+            detail: format!("record region length {} is not a multiple of {RECORD_CHARS}", body.len()),
+        });
+    }
+    Ok(body.chunks_exact(RECORD_CHARS))
 }
 
 /// Splits the record region of a serialized document into record strings.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Malformed`] when the region is not a whole number
-/// of records.
+/// As for [`records`], and [`CoreError::Malformed`] for a record that
+/// does not end on a character boundary.
 pub fn split_records(text: &str) -> Result<Vec<&str>, CoreError> {
-    if text.len() < PREAMBLE_CHARS || !text.is_char_boundary(PREAMBLE_CHARS) {
-        return Err(CoreError::Malformed { detail: "document shorter than preamble".into() });
-    }
-    let body = &text[PREAMBLE_CHARS..];
-    if !body.len().is_multiple_of(RECORD_CHARS) {
-        return Err(CoreError::Malformed {
-            detail: format!("record region length {} is not a multiple of {RECORD_CHARS}", body.len()),
-        });
-    }
-    body.as_bytes()
-        .chunks(RECORD_CHARS)
+    records(text)?
         .map(|c| {
             std::str::from_utf8(c)
                 .map_err(|_| CoreError::Malformed { detail: "record is not ASCII".into() })
         })
         .collect()
+}
+
+/// Puts the serialized document a scheme opened from `text` into the
+/// canonical form its `serialize` writes, in place: the preamble is
+/// re-encoded and the record region upper-cased (Base32 decodes either
+/// case, and a record decodes to one block only). The result equals what
+/// the opened document serializes to, without a second encoding pass.
+///
+/// # Errors
+///
+/// [`CoreError::Malformed`] when the preamble does not parse.
+pub fn canonicalize(text: &mut String) -> Result<(), CoreError> {
+    let mut preamble = String::with_capacity(PREAMBLE_CHARS);
+    Preamble::parse(text)?.push_to(&mut preamble);
+    text.replace_range(..PREAMBLE_CHARS, &preamble);
+    text[PREAMBLE_CHARS..].make_ascii_uppercase();
+    Ok(())
+}
+
+/// Appends the preamble and every record of a document to one buffer:
+/// what `serialize` returns for rECB and RPC documents.
+pub(crate) fn serialize_records<'a>(
+    preamble: &Preamble,
+    records: impl Iterator<Item = (char, &'a [u8; 16])>,
+) -> String {
+    let mut out = String::new();
+    preamble.push_to(&mut out);
+    for (tag, block) in records {
+        push_record(&mut out, tag, block);
+    }
+    out
 }
 
 /// Applies a sorted, non-overlapping patch set to a serialized ciphertext

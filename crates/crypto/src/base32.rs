@@ -10,6 +10,12 @@
 //! each encryption block is encoded independently, and padding characters
 //! would waste space (blocks have known size).
 //!
+//! A ciphertext document is thousands of 16-byte blocks, so that width has
+//! its own kernels: [`encode_block`] and [`decode_block`] work on fixed
+//! arrays through lookup tables and allocate nothing. They accept and
+//! produce exactly what [`encode_unpadded`] and [`decode_unpadded`] do at
+//! [`BLOCK_CHARS`] characters.
+//!
 //! # Example
 //!
 //! ```
@@ -23,6 +29,80 @@
 use crate::error::CryptoError;
 
 const ALPHABET: &[u8; 32] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZ234567";
+
+/// Marks a byte outside the alphabet in [`DECODE`].
+const INVALID: u8 = 0xff;
+
+/// Every byte's 5-bit value: `A–Z`/`a–z` are 0–25, `2–7` are 26–31, and
+/// everything else is [`INVALID`].
+const DECODE: [u8; 256] = {
+    let mut table = [INVALID; 256];
+    let mut i = 0;
+    while i < 32 {
+        table[ALPHABET[i] as usize] = i as u8;
+        table[ALPHABET[i].to_ascii_lowercase() as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Base32 characters of one 16-byte block: `encoded_len(16)`.
+pub const BLOCK_CHARS: usize = 26;
+
+/// Encodes a 16-byte block as its [`BLOCK_CHARS`] unpadded characters
+/// (upper case), equal to [`encode_unpadded`] of the block.
+pub fn encode_block(block: &[u8; 16]) -> [u8; BLOCK_CHARS] {
+    let mut out = [0u8; BLOCK_CHARS];
+    // Three 5-byte groups are 40 bits, eight characters each.
+    for (group, chars) in block[..15].chunks_exact(5).zip(out.chunks_exact_mut(8)) {
+        let bits = group.iter().fold(0u64, |acc, &b| (acc << 8) | u64::from(b));
+        for (i, c) in chars.iter_mut().enumerate() {
+            *c = ALPHABET[((bits >> (35 - 5 * i)) & 0x1f) as usize];
+        }
+    }
+    // The last byte fills one character and three bits of the next,
+    // whose two low bits are zero.
+    out[24] = ALPHABET[usize::from(block[15] >> 3)];
+    out[25] = ALPHABET[usize::from((block[15] << 2) & 0x1f)];
+    out
+}
+
+/// Decodes the [`BLOCK_CHARS`] unpadded characters of one 16-byte block
+/// (either case).
+///
+/// # Errors
+///
+/// Exactly those of [`decode_unpadded`] on the same text:
+/// [`CryptoError::InvalidLength`] unless `text` is [`BLOCK_CHARS`] bytes,
+/// [`CryptoError::InvalidCharacter`] at the first byte outside the
+/// alphabet, and [`CryptoError::InvalidPadding`] when the two bits past
+/// the block are not zero.
+pub fn decode_block(text: &[u8]) -> Result<[u8; 16], CryptoError> {
+    let text: &[u8; BLOCK_CHARS] =
+        text.try_into().map_err(|_| CryptoError::InvalidLength { length: text.len() })?;
+    let mut values = [0u8; BLOCK_CHARS];
+    let mut seen = 0u8;
+    for (value, &c) in values.iter_mut().zip(text) {
+        *value = DECODE[usize::from(c)];
+        seen |= *value;
+    }
+    if seen == INVALID {
+        // Valid values stay below 32, so only an INVALID entry sets the
+        // high bits; find the first one for the error.
+        let position = values.iter().position(|&v| v == INVALID).expect("an invalid byte");
+        return Err(CryptoError::InvalidCharacter { byte: text[position], position });
+    }
+    let mut out = [0u8; 16];
+    for (chars, group) in values[..24].chunks_exact(8).zip(out.chunks_exact_mut(5)) {
+        let bits = chars.iter().fold(0u64, |acc, &v| (acc << 5) | u64::from(v));
+        group.copy_from_slice(&bits.to_be_bytes()[3..]);
+    }
+    if values[25] & 0b11 != 0 {
+        return Err(CryptoError::InvalidPadding);
+    }
+    out[15] = (values[24] << 3) | (values[25] >> 2);
+    Ok(out)
+}
 
 /// Encodes `data` as Base32 with `=` padding (RFC 4648 §6).
 pub fn encode(data: &[u8]) -> String {
@@ -87,11 +167,9 @@ fn decode_unpadded_bytes(bytes: &[u8]) -> Result<Vec<u8>, CryptoError> {
     let mut buffer: u64 = 0;
     let mut bits: u32 = 0;
     for (position, &c) in bytes.iter().enumerate() {
-        let value = match c {
-            b'A'..=b'Z' => c - b'A',
-            b'a'..=b'z' => c - b'a',
-            b'2'..=b'7' => c - b'2' + 26,
-            _ => return Err(CryptoError::InvalidCharacter { byte: c, position }),
+        let value = match DECODE[usize::from(c)] {
+            INVALID => return Err(CryptoError::InvalidCharacter { byte: c, position }),
+            value => value,
         };
         buffer = (buffer << 5) | u64::from(value);
         bits += 5;

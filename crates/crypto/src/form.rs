@@ -19,26 +19,56 @@
 
 use crate::error::CryptoError;
 
-/// Returns `true` for bytes that are passed through unescaped.
-fn is_unreserved(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.' | b'*')
-}
+/// How [`percent_encode`] writes each byte: `0` passes it through,
+/// `1` writes `+` (space), `2` writes `%XX`.
+const CLASS: [u8; 256] = {
+    let mut table = [2u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        if c.is_ascii_alphanumeric() || matches!(c, b'-' | b'_' | b'.' | b'*') {
+            table[b] = 0;
+        }
+        b += 1;
+    }
+    table[b' ' as usize] = 1;
+    table
+};
+
+const HEX_UPPER: &[u8; 16] = b"0123456789ABCDEF";
 
 /// Percent-encodes `text` using form-urlencoding rules.
 pub fn percent_encode(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
-    for &b in text.as_bytes() {
-        if is_unreserved(b) {
-            out.push(b as char);
-        } else if b == b' ' {
+    percent_encode_into(&mut out, text);
+    out
+}
+
+/// Appends the percent-encoding of `text` to `out`: runs of unreserved
+/// bytes are copied whole, and each other byte is looked up in [`CLASS`].
+fn percent_encode_into(out: &mut String, text: &str) {
+    let bytes = text.as_bytes();
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let class = CLASS[usize::from(b)];
+        if class == 0 {
+            continue;
+        }
+        if run < i {
+            // Unreserved ASCII from `run` to `i`, so both are character
+            // boundaries (inside a multi-byte character they need not be).
+            out.push_str(&text[run..i]);
+        }
+        run = i + 1;
+        if class == 1 {
             out.push('+');
         } else {
             out.push('%');
-            out.push(char::from_digit(u32::from(b >> 4), 16).unwrap().to_ascii_uppercase());
-            out.push(char::from_digit(u32::from(b & 0xf), 16).unwrap().to_ascii_uppercase());
+            out.push(char::from(HEX_UPPER[usize::from(b >> 4)]));
+            out.push(char::from(HEX_UPPER[usize::from(b & 0xf)]));
         }
     }
-    out
+    out.push_str(&text[run..]);
 }
 
 /// Decodes a percent-encoded string back into text.
@@ -52,12 +82,17 @@ pub fn percent_decode(text: &str) -> Result<String, CryptoError> {
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
     while i < bytes.len() {
-        match bytes[i] {
+        // Copy the run up to the next escape or `+` whole.
+        let run = bytes[i..].iter().position(|&b| b == b'%' || b == b'+').unwrap_or(bytes.len() - i);
+        out.extend_from_slice(&bytes[i..i + run]);
+        i += run;
+        let Some(&b) = bytes.get(i) else { break };
+        match b {
             b'+' => {
                 out.push(b' ');
                 i += 1;
             }
-            b'%' => {
+            _ => {
                 if i + 2 >= bytes.len() {
                     return Err(CryptoError::InvalidCharacter { byte: b'%', position: i });
                 }
@@ -67,10 +102,6 @@ pub fn percent_decode(text: &str) -> Result<String, CryptoError> {
                     .ok_or(CryptoError::InvalidCharacter { byte: bytes[i + 2], position: i + 2 })?;
                 out.push((hi << 4) | lo);
                 i += 3;
-            }
-            b => {
-                out.push(b);
-                i += 1;
             }
         }
     }
@@ -90,14 +121,18 @@ fn hex_val(c: u8) -> Option<u8> {
 
 /// Encodes key/value pairs as a form body (`k1=v1&k2=v2`).
 pub fn encode_pairs<K: AsRef<str>, V: AsRef<str>>(pairs: &[(K, V)]) -> String {
-    let mut out = String::new();
+    // The unescaped length plus an eighth: room for the escapes of
+    // ciphertext (its four `;`) and of most prose, so a large body is
+    // written without growing. A body is sent, not spliced.
+    let len: usize = pairs.iter().map(|(k, v)| k.as_ref().len() + v.as_ref().len() + 2).sum();
+    let mut out = String::with_capacity(len + len / 8);
     for (i, (k, v)) in pairs.iter().enumerate() {
         if i > 0 {
             out.push('&');
         }
-        out.push_str(&percent_encode(k.as_ref()));
+        percent_encode_into(&mut out, k.as_ref());
         out.push('=');
-        out.push_str(&percent_encode(v.as_ref()));
+        percent_encode_into(&mut out, v.as_ref());
     }
     out
 }

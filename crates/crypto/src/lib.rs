@@ -29,8 +29,11 @@
 //! AES dispatches over two byte-identical backends, selected once per
 //! cipher construction ([`aes::AesBackend::select`]): hardware AES-NI
 //! when CPUID reports it, the byte-oriented FIPS-197 reference engine
-//! otherwise. `PE_CRYPTO_FORCE_BACKEND={scalar,aesni}` pins the choice
-//! for tests and benchmarks.
+//! otherwise. SHA-256 does the same once per process
+//! ([`sha256::ShaBackend::select`]): the x86 SHA extensions when CPUID
+//! reports them, the FIPS-180-4 compression otherwise.
+//! `PE_CRYPTO_FORCE_BACKEND={scalar,aesni}` pins the choice for tests and
+//! benchmarks; `scalar` pins both reference engines.
 //!
 //! # Security note
 //!
@@ -55,8 +58,9 @@
 //! assert_eq!(block, original);
 //! ```
 
-// `deny` rather than `forbid`: the AES-NI module carries the one scoped
-// allow in the crate, with per-call SAFETY comments (see `aesni`).
+// `deny` rather than `forbid`: the AES-NI and SHA-extension modules
+// carry the crate's only scoped allows, with per-call SAFETY comments
+// (see `aesni` and `shani`).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -74,6 +78,9 @@ pub mod hmac;
 pub mod kw;
 pub mod pbkdf2;
 pub mod sha256;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+pub(crate) mod shani;
 pub mod zeroize;
 
 pub use aes::{Aes128, Aes256, AesBackend};

@@ -1,4 +1,5 @@
-//! Forced-backend matrix: every AES backend must be byte-identical.
+//! Forced-backend matrix: every AES backend must be byte-identical, and
+//! so must every SHA-256 compression engine.
 //!
 //! The dispatch layer (`AesBackend`) selects between the scalar reference
 //! and hardware AES-NI once per cipher construction. These tests pin both
@@ -13,6 +14,7 @@
 //! `scripts/ci.sh`, which re-runs the whole crypto suite once per value.
 
 use pe_crypto::aes::{Aes128, Aes256, AesBackend};
+use pe_crypto::sha256::{Sha256, ShaBackend};
 use pe_crypto::BlockCipher;
 use proptest::prelude::*;
 
@@ -189,4 +191,87 @@ proptest! {
             prop_assert_eq!(&bulk, &blocks, "decrypt_blocks on {}", backend);
         }
     }
+}
+
+// --- SHA-256: the SHA-extension compression against the reference ------
+
+/// A hasher on each engine, or `None` when this CPU lacks the SHA
+/// extensions (the comparison is then skipped).
+fn sha_engines() -> Option<(Sha256, Sha256)> {
+    if !ShaBackend::shani_supported() {
+        eprintln!("skipped: this CPU lacks the SHA extensions");
+        return None;
+    }
+    let hardware = Sha256::with_backend(ShaBackend::ShaNi);
+    let reference = Sha256::with_backend(ShaBackend::Scalar);
+    assert_eq!((hardware.backend(), reference.backend()), (ShaBackend::ShaNi, ShaBackend::Scalar));
+    Some((hardware, reference))
+}
+
+fn sha_message(len: usize) -> Vec<u8> {
+    (0..len).map(|i| (i.wrapping_mul(131) ^ (i >> 7)) as u8).collect()
+}
+
+#[test]
+fn sha256_engines_agree_for_every_length_up_to_4096() {
+    let Some((hardware, reference)) = sha_engines() else { return };
+    let message = sha_message(4096);
+    for len in 0..=message.len() {
+        let (mut hw, mut sw) = (hardware.clone(), reference.clone());
+        hw.update(&message[..len]);
+        sw.update(&message[..len]);
+        assert_eq!(hw.finalize(), sw.finalize(), "length {len}");
+    }
+}
+
+#[test]
+fn sha256_engines_agree_at_every_split_point() {
+    let Some((hardware, reference)) = sha_engines() else { return };
+    let message = sha_message(300);
+    let mut expected = reference.clone();
+    expected.update(&message);
+    let expected = expected.finalize();
+    for split in 0..=message.len() {
+        for engine in [&hardware, &reference] {
+            let mut hasher = engine.clone();
+            hasher.update(&message[..split]);
+            hasher.update(&message[split..]);
+            assert_eq!(hasher.finalize(), expected, "{} split at {split}", engine.backend());
+        }
+    }
+}
+
+#[test]
+fn sha256_known_answers_on_every_engine() {
+    let mut engines = vec![ShaBackend::Scalar];
+    if ShaBackend::shani_supported() {
+        engines.push(ShaBackend::ShaNi);
+    }
+    let cases: [(&[u8], &str); 3] = [
+        (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
+        (
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+        ),
+    ];
+    for backend in engines {
+        for (message, digest) in cases {
+            let mut hasher = Sha256::with_backend(backend);
+            hasher.update(message);
+            assert_eq!(pe_crypto::hex::encode(&hasher.finalize()), digest, "{backend}");
+        }
+    }
+}
+
+#[test]
+fn sha256_engine_follows_the_backend_pin() {
+    let pinned = std::env::var(pe_crypto::aes::FORCE_BACKEND_ENV).ok().as_deref().and_then(AesBackend::parse);
+    let expected = if pinned != Some(AesBackend::Scalar) && ShaBackend::shani_supported() {
+        ShaBackend::ShaNi
+    } else {
+        ShaBackend::Scalar
+    };
+    assert_eq!(ShaBackend::select(), expected);
+    assert_eq!(Sha256::new().backend(), expected);
 }

@@ -160,3 +160,72 @@ proptest! {
         );
     }
 }
+
+/// One Base32 character of a fixed-width record body: mostly the upper
+/// case alphabet, sometimes lower case, sometimes any byte at all.
+fn record_byte() -> impl Strategy<Value = u8> {
+    (0u8..10, 0usize..32, any::<u8>()).prop_map(|(pick, value, byte)| {
+        let upper = b"ABCDEFGHIJKLMNOPQRSTUVWXYZ234567"[value];
+        match pick {
+            0 => byte,
+            1..=3 => upper.to_ascii_lowercase(),
+            _ => upper,
+        }
+    })
+}
+
+proptest! {
+    /// The fixed-width block decoder accepts exactly what the general
+    /// decoder accepts at that width, with equal bytes and equal errors:
+    /// lower case, bytes outside the alphabet and nonzero trailing bits
+    /// all come up.
+    #[test]
+    fn base32_block_decoder_matches_general_decoder(
+        text in proptest::collection::vec(record_byte(), base32::BLOCK_CHARS)
+    ) {
+        let general = std::str::from_utf8(&text)
+            .map_err(|_| ())
+            .and_then(|text| base32::decode_unpadded(text).map_err(|_| ()));
+        let fixed = base32::decode_block(&text);
+        match (&general, &fixed) {
+            (Ok(bytes), Ok(block)) => prop_assert_eq!(bytes.as_slice(), block.as_slice()),
+            (Err(()), Err(_)) => {}
+            _ => prop_assert!(false, "{:?}: general {:?}, fixed {:?}", text, general, fixed),
+        }
+        // Where the text is a string the general decoder's error is the
+        // fixed decoder's error.
+        if let Ok(text) = std::str::from_utf8(&text) {
+            prop_assert_eq!(
+                base32::decode_unpadded(text).map(|b| b.try_into().unwrap()),
+                fixed
+            );
+        }
+    }
+
+    /// The fixed-width block encoder writes what the general encoder
+    /// writes, and the block decoder inverts it.
+    #[test]
+    fn base32_block_encoder_matches_general_encoder(block in any::<[u8; 16]>()) {
+        let fixed = base32::encode_block(&block);
+        prop_assert_eq!(std::str::from_utf8(&fixed).unwrap(), base32::encode_unpadded(&block));
+        prop_assert_eq!(base32::decode_block(&fixed).unwrap(), block);
+    }
+}
+
+/// The wire bytes of the form codec, pinned: every printable ASCII byte,
+/// tab, newline and some multi-byte characters.
+#[test]
+fn percent_encode_golden() {
+    let printable: String = (0x20u8..0x7f).map(char::from).collect();
+    assert_eq!(
+        form::percent_encode(&printable),
+        "+%21%22%23%24%25%26%27%28%29*%2B%2C-.%2F0123456789%3A%3B%3C%3D%3E%3F%40\
+         ABCDEFGHIJKLMNOPQRSTUVWXYZ%5B%5C%5D%5E_%60abcdefghijklmnopqrstuvwxyz%7B%7C%7D%7E"
+    );
+    assert_eq!(form::percent_encode("a\tb\nc"), "a%09b%0Ac");
+    assert_eq!(form::percent_encode("é — 一😀"), "%C3%A9+%E2%80%94+%E4%B8%80%F0%9F%98%80");
+    assert_eq!(
+        form::encode_pairs(&[("k é", "v=1&2"), ("", "")]),
+        "k+%C3%A9=v%3D1%262&="
+    );
+}

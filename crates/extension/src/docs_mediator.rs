@@ -13,10 +13,10 @@ use pe_crypto::drbg::NonceSource;
 use pe_crypto::form;
 use pe_crypto::sha256::Sha256;
 use pe_crypto::{hex, CtrDrbg, SystemRandom};
-use pe_delta::{diff_around, Delta};
+use pe_delta::{diff_hunks, Delta, DeltaOp};
 use pe_tenant::{ServiceRecords, Session, TenantDirectory};
 
-use crate::countermeasures;
+use crate::countermeasures::{self, EDIT_DISTANCE_CAP};
 use crate::error::ExtensionError;
 use crate::keyring::Keyring;
 use crate::MediatorConfig;
@@ -66,37 +66,94 @@ struct DocState {
     version: Option<u64>,
 }
 
-/// Applies plaintext splices (ascending, in byte offsets of `old`) and
-/// returns the new text with exactly the delta `diff(old, new)` would
-/// give, computed over the changed window only.
+/// Applies plaintext splices (ascending, in byte offsets of `text`) to
+/// the mirror in place and returns the delta the client folds: one hunk
+/// set per group of splices, each the diff of the bytes the splices
+/// replaced and the bytes they inserted.
 ///
-/// Blocks are byte chunks, so a splice edge may cut a character: the
-/// window is widened to character boundaries and only it is checked to
-/// be UTF-8 (the text outside it is unchanged, whole characters).
-fn splice_text(old: &str, splices: &[PlainSplice]) -> Result<(String, Delta), ExtensionError> {
-    let (Some(first), Some(last)) = (splices.first(), splices.last()) else {
-        return Ok((old.to_string(), Delta::new()));
-    };
+/// Blocks are byte chunks, so a splice edge may cut a character: each
+/// window is widened to character boundaries (splices whose widened
+/// windows touch form one group) and only it is checked to be UTF-8.
+/// The diff has no merge gap: a collaborator's separate stretches stay
+/// separate, so a character this session deleted concurrently between
+/// them stays deleted when the client rebases over the delta.
+fn splice_text(text: &mut String, splices: &[PlainSplice]) -> Result<Delta, ExtensionError> {
     let not_text = |detail: &str| ExtensionError::BadResponse { detail: detail.into() };
-    let start = old.floor_char_boundary(first.at);
-    let end = old.ceil_char_boundary(last.at.saturating_add(last.removed));
-    let mut window = Vec::new();
-    let mut cursor = start;
+    let mut fits = 0;
     for splice in splices {
-        let splice_end = splice.at.saturating_add(splice.removed);
-        if splice.at < cursor || splice_end > old.len() {
-            return Err(not_text("foreign change does not fit the plaintext mirror"));
+        match splice.at.checked_add(splice.removed) {
+            Some(end) if splice.at >= fits && end <= text.len() => fits = end,
+            _ => return Err(not_text("foreign change does not fit the plaintext mirror")),
         }
-        window.extend_from_slice(&old.as_bytes()[cursor..splice.at]);
-        window.extend_from_slice(&splice.inserted);
-        cursor = splice_end;
     }
-    window.extend_from_slice(&old.as_bytes()[cursor..end]);
-    let window =
-        String::from_utf8(window).map_err(|_| not_text("foreign change is not text"))?;
-    let new = [&old[..start], window.as_str(), &old[end..]].concat();
-    let delta = diff_around(old, &new, start, old.len() - end);
-    Ok((new, delta))
+    let mut builder = Delta::builder();
+    let mut cursor = 0; // offset in `text` before the change
+    let mut rest = splices;
+    while let Some(first) = rest.first() {
+        let start = text.floor_char_boundary(first.at);
+        let mut end = text.ceil_char_boundary(first.at + first.removed);
+        let mut group = 1;
+        while let Some(next) = rest.get(group).filter(|s| text.floor_char_boundary(s.at) < end) {
+            end = text.ceil_char_boundary(next.at + next.removed);
+            group += 1;
+        }
+        let mut window = Vec::new();
+        let mut at = start;
+        for splice in &rest[..group] {
+            window.extend_from_slice(&text.as_bytes()[at..splice.at]);
+            window.extend_from_slice(&splice.inserted);
+            at = splice.at + splice.removed;
+        }
+        window.extend_from_slice(&text.as_bytes()[at..end]);
+        let window = String::from_utf8(window).map_err(|_| not_text("foreign change is not text"))?;
+        builder.retain(start - cursor);
+        let mut consumed = 0;
+        for op in diff_hunks(&text[start..end], &window, 0, 0, EDIT_DISTANCE_CAP, 0).ops() {
+            match op {
+                DeltaOp::Retain(n) => {
+                    builder.retain(*n);
+                    consumed += n;
+                }
+                DeltaOp::Delete(n) => {
+                    builder.delete(*n);
+                    consumed += n;
+                }
+                DeltaOp::Insert(inserted) => {
+                    builder.insert(inserted);
+                }
+            }
+        }
+        builder.retain(end - start - consumed);
+        cursor = end;
+        rest = &rest[group..];
+    }
+    let delta = builder.build();
+    delta.apply_in_place(text)?;
+    Ok(delta)
+}
+
+/// Moves the first value of `key` out of parsed form `pairs` (empty when
+/// absent), so a whole-document field is not copied.
+fn take_value(pairs: &mut [(String, String)], key: &str) -> String {
+    pairs.iter_mut().find(|(k, _)| k == key).map(|(_, v)| std::mem::take(v)).unwrap_or_default()
+}
+
+/// The form body of `pairs` with `content` replaced by `plaintext` and
+/// `contentHash` by its hash; every other field passes as it came.
+fn with_plaintext(pairs: &[(String, String)], plaintext: &str) -> String {
+    let hash = hex::encode(&Sha256::digest(plaintext.as_bytes())[..8]);
+    let fields: Vec<(&str, &str)> = pairs
+        .iter()
+        .map(|(k, v)| {
+            let value = match k.as_str() {
+                "content" => plaintext,
+                "contentHash" => hash.as_str(),
+                _ => v.as_str(),
+            };
+            (k.as_str(), value)
+        })
+        .collect();
+    form::encode_pairs(&fields)
 }
 
 /// The privacy mediator for the Google-Documents-style service.
@@ -218,7 +275,7 @@ impl<S: CloudService> DocsMediator<S> {
     fn ensure_state(
         &mut self,
         doc_id: &str,
-        server_content: Option<&str>,
+        server_content: Option<String>,
     ) -> Result<(), ExtensionError> {
         if self.docs.contains_key(doc_id) {
             return Ok(());
@@ -228,17 +285,19 @@ impl<S: CloudService> DocsMediator<S> {
         }
         let state = match server_content {
             Some(content) if !content.is_empty() => {
-                let preamble = Preamble::parse(content)?;
+                let preamble = Preamble::parse(&content)?;
                 let key = match self.keyring.derive_existing(doc_id, &preamble.salt) {
                     Some(key) => key,
                     None => self.tenant_key(doc_id, preamble.salt)?,
                 };
-                let doc = self.open_doc(&key, content, preamble.mode)?;
+                let doc = self.open_doc(&key, &content, preamble.mode)?;
                 let plaintext = String::from_utf8(doc.decrypt()?).map_err(|_| {
                     ExtensionError::BadResponse { detail: "document is not text".into() }
                 })?;
                 DocState {
-                    transformer: DeltaTransformer::new(doc),
+                    // The text just opened is the mirror: no second
+                    // encoding of the whole document.
+                    transformer: DeltaTransformer::opened(doc, content)?,
                     plaintext,
                     synced: true,
                     version: None,
@@ -360,10 +419,9 @@ impl<S: CloudService> DocsMediator<S> {
         let body = response.body_text().ok_or_else(|| ExtensionError::BadResponse {
             detail: "response body is not text".into(),
         })?;
-        let pairs = form::parse_pairs(body).map_err(|e| ExtensionError::BadResponse {
+        let mut pairs = form::parse_pairs(body).map_err(|e| ExtensionError::BadResponse {
             detail: format!("unparseable response form: {e}"),
         })?;
-        let content = form::first_value(&pairs, "content").unwrap_or("");
         if !self.keyring.has(doc_id) && self.tenant.is_none() {
             // No password: the user sees raw ciphertext, as the paper
             // describes for parties without the password.
@@ -375,27 +433,17 @@ impl<S: CloudService> DocsMediator<S> {
         }
         // Rebuild state from the authoritative server copy (it may have
         // been changed by a collaborator).
+        let content = take_value(&mut pairs, "content");
         self.docs.remove(doc_id);
         {
             let _timed = pe_observe::static_histogram!("mediator.decrypt_ns").span();
             self.ensure_state(doc_id, Some(content))?;
         }
         let version = form::first_value(&pairs, "version").and_then(|v| v.parse().ok());
-        if let Some(state) = self.docs.get_mut(doc_id) {
-            state.version = version;
-        }
-        let plaintext = self.docs[doc_id].plaintext.clone();
-        let hash = hex::encode(&Sha256::digest(plaintext.as_bytes())[..8]);
-        let mut rewritten: Vec<(String, String)> = Vec::new();
-        for (k, v) in pairs {
-            match k.as_str() {
-                "content" => rewritten.push((k, plaintext.clone())),
-                "contentHash" => rewritten.push((k, hash.clone())),
-                _ => rewritten.push((k, v)),
-            }
-        }
+        let state = self.docs.get_mut(doc_id).expect("ensured above");
+        state.version = version;
         Ok(Mediated {
-            response: Response::ok(form::encode_pairs(&rewritten)),
+            response: Response::ok(with_plaintext(&pairs, &state.plaintext)),
             outcome: Outcome::Decrypted,
             suggested_delay: Duration::ZERO,
         })
@@ -505,31 +553,20 @@ impl<S: CloudService> DocsMediator<S> {
         let body = response.body_text().ok_or_else(|| ExtensionError::BadResponse {
             detail: "changes response is not text".into(),
         })?;
-        let pairs = form::parse_pairs(body).map_err(|e| ExtensionError::BadResponse {
+        let mut pairs = form::parse_pairs(body).map_err(|e| ExtensionError::BadResponse {
             detail: format!("unparseable changes form: {e}"),
         })?;
         let _timed = pe_observe::static_histogram!("mediator.decrypt_ns").span();
         if form::first_value(&pairs, "resync") == Some("1") {
-            let content = form::first_value(&pairs, "content").unwrap_or("").to_string();
+            let content = take_value(&mut pairs, "content");
             self.docs.remove(&doc_id);
-            self.ensure_state(&doc_id, Some(&content))?;
+            self.ensure_state(&doc_id, Some(content))?;
             let seq = form::first_value(&pairs, "seq").and_then(|v| v.parse().ok());
-            if let Some(state) = self.docs.get_mut(&doc_id) {
-                state.version = seq;
-            }
-            let plaintext = self.docs[&doc_id].plaintext.clone();
-            let hash = hex::encode(&Sha256::digest(plaintext.as_bytes())[..8]);
-            let rewritten: Vec<(String, String)> = pairs
-                .into_iter()
-                .map(|(k, v)| match k.as_str() {
-                    "content" => (k, plaintext.clone()),
-                    "contentHash" => (k, hash.clone()),
-                    _ => (k, v),
-                })
-                .collect();
+            let state = self.docs.get_mut(&doc_id).expect("ensured above");
+            state.version = seq;
             pe_observe::static_counter!("mediator.changes_resyncs").inc();
             return Ok(Mediated {
-                response: Response::ok(form::encode_pairs(&rewritten)),
+                response: Response::ok(with_plaintext(&pairs, &state.plaintext)),
                 outcome: Outcome::Decrypted,
                 suggested_delay: Duration::ZERO,
             });
@@ -583,14 +620,11 @@ impl<S: CloudService> DocsMediator<S> {
             "full" => {
                 // A collaborator's full save: rebuild the mirror from it
                 // and hand the client the decrypted content.
-                let payload = payload.to_string();
                 self.docs.remove(doc_id);
-                self.ensure_state(doc_id, Some(&payload))?;
-                if let Some(state) = self.docs.get_mut(doc_id) {
-                    state.version = seq.parse().ok();
-                }
-                let plaintext = self.docs[doc_id].plaintext.clone();
-                Ok(format!("{seq}:full:{plaintext}"))
+                self.ensure_state(doc_id, Some(payload.to_string()))?;
+                let state = self.docs.get_mut(doc_id).expect("ensured above");
+                state.version = seq.parse().ok();
+                Ok(format!("{seq}:full:{}", state.plaintext))
             }
             "delta" => {
                 let cdelta = Delta::parse(payload)?;
@@ -600,8 +634,7 @@ impl<S: CloudService> DocsMediator<S> {
                     }
                 })?;
                 let splices = state.transformer.apply_foreign(&cdelta)?;
-                let (plaintext, pdelta) = splice_text(&state.plaintext, &splices)?;
-                state.plaintext = plaintext;
+                let pdelta = splice_text(&mut state.plaintext, &splices)?;
                 state.synced = true;
                 state.version = seq.parse().ok();
                 Ok(format!("{seq}:delta:{}", pdelta.serialize()))
@@ -632,27 +665,26 @@ impl<S: CloudService> DocsMediator<S> {
         let body = load.body_text().ok_or_else(|| ExtensionError::BadResponse {
             detail: "load response is not text".into(),
         })?;
-        let load_pairs = form::parse_pairs(body).map_err(|e| ExtensionError::BadResponse {
+        let mut load_pairs = form::parse_pairs(body).map_err(|e| ExtensionError::BadResponse {
             detail: format!("unparseable load form: {e}"),
         })?;
-        let content = form::first_value(&load_pairs, "content").unwrap_or("").to_string();
+        let content = take_value(&mut load_pairs, "content");
         self.docs.remove(doc_id);
-        self.ensure_state(doc_id, Some(&content))?;
+        self.ensure_state(doc_id, Some(content))?;
         // Resume from the *loaded* version when the server reports one —
         // the load may already include changes past the stream's head.
         let seq = form::first_value(&load_pairs, "version")
             .or_else(|| form::first_value(pairs, "seq"))
             .unwrap_or("0");
-        if let Some(state) = self.docs.get_mut(doc_id) {
-            state.version = seq.parse().ok();
-        }
-        let plaintext = self.docs[doc_id].plaintext.clone();
+        let state = self.docs.get_mut(doc_id).expect("ensured above");
+        state.version = seq.parse().ok();
+        let plaintext = state.plaintext.as_str();
         let hash = hex::encode(&Sha256::digest(plaintext.as_bytes())[..8]);
         let mut rewritten: Vec<(&str, &str)> = vec![
             ("resync", "1"),
             ("seq", seq),
             ("contentHash", &hash),
-            ("content", &plaintext),
+            ("content", plaintext),
         ];
         for (k, v) in pairs {
             if k == "presence" {
@@ -671,12 +703,12 @@ impl<S: CloudService> DocsMediator<S> {
         let Some(body) = request.body_text() else {
             return Ok(self.blocked());
         };
-        let Ok(pairs) = form::parse_pairs(body) else {
+        let Ok(mut pairs) = form::parse_pairs(body) else {
             return Ok(self.blocked());
         };
-        if let Some(contents) = form::first_value(&pairs, "docContents") {
-            let contents = contents.to_string();
-            self.full_save(&doc_id, request, &contents)
+        if form::first_value(&pairs, "docContents").is_some() {
+            let contents = take_value(&mut pairs, "docContents");
+            self.full_save(&doc_id, request, contents)
         } else if let Some(delta_text) = form::first_value(&pairs, "delta") {
             let delta = Delta::parse(delta_text)?;
             let base = form::first_value(&pairs, "baseVersion").and_then(|v| v.parse().ok());
@@ -691,25 +723,25 @@ impl<S: CloudService> DocsMediator<S> {
         &mut self,
         doc_id: &str,
         request: &Request,
-        contents: &str,
+        contents: String,
     ) -> Result<Mediated, ExtensionError> {
         self.ensure_state(doc_id, None)?;
+        let padding = self.config.pad_updates.then(|| countermeasures::padding_field(&mut self.rng));
         let state = self.docs.get_mut(doc_id).expect("ensured above");
         {
             let _timed = pe_observe::static_histogram!("mediator.encrypt_ns").span();
             state.transformer.replace_all(contents.as_bytes())?;
         }
-        state.plaintext = contents.to_string();
+        state.plaintext = contents;
         state.synced = true;
-        let ciphertext = state.transformer.ciphertext().to_string();
-        if !contents.is_empty() {
+        let ciphertext = state.transformer.ciphertext();
+        if !state.plaintext.is_empty() {
             pe_observe::static_histogram!("mediator.blowup_pct")
-                .record((ciphertext.len() * 100 / contents.len()) as u64);
+                .record((ciphertext.len() * 100 / state.plaintext.len()) as u64);
         }
-        let mut fields: Vec<(String, String)> =
-            vec![("docContents".into(), ciphertext)];
-        if self.config.pad_updates {
-            fields.push(countermeasures::padding_field(&mut self.rng));
+        let mut fields = vec![("docContents", ciphertext)];
+        if let Some((key, value)) = &padding {
+            fields.push((key.as_str(), value.as_str()));
         }
         let rewritten = Request::new(
             Method::Post,
@@ -763,7 +795,7 @@ impl<S: CloudService> DocsMediator<S> {
             match loaded {
                 Some((content, version)) if !content.is_empty() => {
                     self.docs.remove(doc_id);
-                    self.ensure_state(doc_id, Some(&content))?;
+                    self.ensure_state(doc_id, Some(content))?;
                     if let Some(state) = self.docs.get_mut(doc_id) {
                         state.version = version;
                     }
@@ -771,7 +803,7 @@ impl<S: CloudService> DocsMediator<S> {
                 _ => {
                     let base = self.docs.get(doc_id).map(|s| s.plaintext.as_str());
                     let updated = delta.apply(base.unwrap_or_default())?;
-                    return self.full_save(doc_id, request, &updated);
+                    return self.full_save(doc_id, request, updated);
                 }
             }
         }

@@ -530,3 +530,38 @@ fn tenant_passphrase_rotation_keeps_documents() {
     later.tenant_login("alice", "new words").unwrap();
     assert_eq!(later.open_document(&doc_id).unwrap(), "survives rotation");
 }
+
+#[test]
+fn a_lower_case_server_copy_opens_into_a_canonical_mirror() {
+    let (server, mut writer) = mediator(MediatorConfig::recb(8), 40);
+    let doc_id = writer.create_document("lower-pw").unwrap();
+    writer.save_full(&doc_id, "case does not matter to Base32").unwrap();
+    let canonical = server.stored_content(&doc_id).unwrap();
+    // Lower-case the salt and every record: the magic and mode tag stay.
+    let (magic, rest) = canonical.split_at("PE1;R;b8;".len());
+    let lowered = format!("{magic}{}", rest.to_ascii_lowercase());
+    assert_ne!(lowered, canonical);
+    let body = form::encode_pairs(&[("docContents", lowered.as_str())]);
+    assert!(server.handle(&Request::post("/Doc", &[("docID", &doc_id)], body)).is_success());
+
+    let mut editor = DocsMediator::with_rng(
+        Arc::clone(&server),
+        MediatorConfig::recb(8),
+        CtrDrbg::from_seed(41),
+    );
+    editor.register_password(&doc_id, "lower-pw");
+    assert_eq!(editor.open_document(&doc_id).unwrap(), "case does not matter to Base32");
+    // The mirror is what the opened document serializes to.
+    assert_eq!(editor.ciphertext(&doc_id), Some(canonical.as_str()));
+    let mut delta = Delta::builder();
+    delta.retain(5).delete(8).insert("never");
+    assert!(editor.save_delta(&doc_id, &delta.build()).unwrap().response.is_success());
+
+    let mut reader = DocsMediator::with_rng(
+        Arc::clone(&server),
+        MediatorConfig::recb(8),
+        CtrDrbg::from_seed(42),
+    );
+    reader.register_password(&doc_id, "lower-pw");
+    assert_eq!(reader.open_document(&doc_id).unwrap(), "case never matter to Base32");
+}

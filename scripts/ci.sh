@@ -38,7 +38,9 @@ cargo run --release --offline -p pe-bench --bin all_experiments quick
 
 echo "== forced-backend crypto matrix =="
 # The whole crypto + core suite must pass under every forced AES backend
-# so AES-NI hosts still exercise the reference fallback. The aesni pass
+# so AES-NI hosts still exercise the reference fallback. `scalar` also
+# pins SHA-256 to the reference compression, so PBKDF2/HMAC/HKDF and
+# every digest run on both SHA engines. The aesni pass
 # is skipped gracefully when CPUID says unsupported (--detect exits 1),
 # matching the runtime fallback.
 backends="scalar"
@@ -56,7 +58,8 @@ echo "== crypto_throughput smoke =="
 # The crypto benchmark must complete and emit valid JSON (tiny sizes,
 # one rep — this checks the harness, not the numbers). Every row must
 # carry its aes_backend label, and the reference fallback (scalar) must
-# always be present.
+# always be present. SHA-256 has one row per compression engine: the
+# reference always, the SHA extensions exactly when CPUID has them.
 smoke_out="$(mktemp)"
 trap 'rm -f "$smoke_out"' EXIT
 ./target/release/crypto_throughput --smoke --out "$smoke_out"
@@ -87,7 +90,13 @@ if report["aesni_supported"]:
         / (cipher["scalar"]["encrypt_mib_s"] + cipher["scalar"]["decrypt_mib_s"])
     assert ratio >= 25.0, f"aesni only {ratio:.1f}x over scalar"
     print(f"aesni cipher speedup vs scalar: {ratio:.1f}x")
-print(f"smoke report OK ({len(rows)} rows, backends: {sorted(seen)})")
+assert isinstance(report["shani_supported"], bool), "missing shani_supported"
+sha = {row["sha_backend"]: row for row in report["sha_rows"]}
+expected_sha = {"scalar", "shani"} if report["shani_supported"] else {"scalar"}
+assert set(sha) == expected_sha, f"sha rows {sorted(sha)} != {sorted(expected_sha)}"
+for row in sha.values():
+    assert row["mib_s"] > 0, row
+print(f"smoke report OK ({len(rows)} rows, backends: {sorted(seen)}, sha: {sorted(sha)})")
 PY
 
 echo "== net_load smoke (mem + durable sharded store) =="
@@ -426,6 +435,9 @@ backends = {r["aes_backend"] for r in crypto["rows"]} | {r["aes_backend"] for r 
 # aesni rows exactly when the recording host had AES-NI.
 expected = {"scalar", "aesni"} if crypto["aesni_supported"] else {"scalar"}
 assert backends == expected, f"BENCH_crypto.json backends {sorted(backends)} != {sorted(expected)}"
+sha_engines = {r["sha_backend"] for r in crypto["sha_rows"] if r["mib_s"] > 0}
+expected_sha = {"scalar", "shani"} if crypto["shani_supported"] else {"scalar"}
+assert sha_engines == expected_sha, f"BENCH_crypto.json sha rows {sorted(sha_engines)} != {sorted(expected_sha)}"
 with open("BENCH_tenant.json") as f:
     tenant = json.load(f)
 assert tenant["bench"] == "tenant_bench"
