@@ -157,8 +157,9 @@ fn text_store_file_is_migrated_by_local_commands_and_serve() {
         assert_eq!(doc.revisions.len(), 2);
         assert!(doc.revisions[0].is_empty());
         assert_eq!(migrated.meta("next_doc"), Some(1));
-        // The show opened one editing session on top of the migrated count.
-        assert_eq!(migrated.meta("next_session"), Some(2));
+        // The migrated session counter is kept as it was: the show's open
+        // minted its session id in memory and wrote nothing.
+        assert_eq!(migrated.meta("next_session"), Some(1));
     }
     let created = pedit(&["--store", store.str(), "create", "--password", "pw"]).unwrap();
     assert_eq!(created, "created doc2", "the id sequence must carry over");

@@ -4,7 +4,8 @@
 //!
 //! * `POST /Doc?cmd=create` — create a document, returns its `docID`.
 //! * `POST /Doc?docID=…&cmd=open` — open an edit session; the response
-//!   carries the current content and its hash.
+//!   carries a session id, the current content and its hash. Session ids
+//!   are minted in memory (see [`DocsServer`]), so an open writes nothing.
 //! * `POST /Doc?docID=…` with a form body — save: the `docContents` field
 //!   replaces the whole document (the first save of every session), the
 //!   `delta` field applies an incremental update. The server answers with
@@ -28,11 +29,13 @@
 //! examples), or a durable [`pe_store::LogStore`] in the `pedit serve`
 //! stack, where an acknowledged save survives `kill -9`.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use pe_crypto::form;
 use pe_crypto::hex;
 use pe_crypto::sha256::Sha256;
+use pe_crypto::{NonceSource, SystemRandom};
 use pe_delta::Delta;
 use pe_store::{DeltaLimits, DocStore, MemStore, StoreError};
 
@@ -69,8 +72,41 @@ pub trait SaveListener: Send + Sync {
 
 /// Metadata key for the document id counter.
 const META_NEXT_DOC: &str = "next_doc";
-/// Metadata key for the session id counter.
+/// Metadata key of the session counter older releases kept in the store.
+/// Text snapshots still carry it and [`DocsServer::restore_into`] keeps
+/// it; nothing reads it any more.
 const META_NEXT_SESSION: &str = "next_session";
+
+/// The paths [`DocsServer`] routes. Each keeps its own request counters;
+/// every other path counts as `other`, so clients cannot mint metrics.
+const ROUTED_PATHS: [&str; 10] = [
+    "/Doc",
+    "/Doc/load",
+    "/Doc/revisions",
+    "/tenant/record",
+    "/tenant/verify",
+    "/tenant/list",
+    "/spell",
+    "/translate",
+    "/export",
+    "/drawing",
+];
+
+/// Counts one answered request as `cloud.req.<path>.<class>xx`, resolving
+/// each (path, status class) handle once.
+fn count_request(path: &str, status: u16) {
+    const CLASSES: usize = 5;
+    static COUNTERS: [[OnceLock<pe_observe::Counter>; CLASSES]; ROUTED_PATHS.len() + 1] =
+        [const { [const { OnceLock::new() }; CLASSES] }; ROUTED_PATHS.len() + 1];
+    let route = ROUTED_PATHS.iter().position(|routed| *routed == path);
+    let class = usize::from(status / 100).clamp(1, CLASSES);
+    COUNTERS[route.unwrap_or(ROUTED_PATHS.len())][class - 1]
+        .get_or_init(|| {
+            let name = route.map_or("other", |r| ROUTED_PATHS[r]);
+            pe_observe::counter(&format!("cloud.req.{name}.{class}xx"))
+        })
+        .inc();
+}
 
 /// A small English dictionary for the spell-check feature. Real enough to
 /// make plaintext prose pass and Base32 ciphertext fail spectacularly.
@@ -93,6 +129,12 @@ const DICTIONARY: &[&str] = &[
 /// Thread-safe; clients, mediators, and benchmark harnesses may share one
 /// instance.
 ///
+/// Session ids are `s<prefix>-<n>`: a random 64-bit prefix drawn when the
+/// server is built, then a per-server counter. They are per process and
+/// never stored (no crate reads an id back), so opening a document is a
+/// pure read; the random prefix keeps ids from repeating across restarts
+/// or between servers over one store.
+///
 /// # Example
 ///
 /// ```
@@ -114,6 +156,10 @@ pub struct DocsServer {
     tenant_lock: std::sync::Mutex<()>,
     /// Fan-out hook for accepted saves (live collaboration).
     save_listener: std::sync::RwLock<Option<Arc<dyn SaveListener>>>,
+    /// This server's random session-id prefix.
+    session_prefix: u64,
+    /// Session ids minted so far.
+    sessions: AtomicU64,
 }
 
 impl std::fmt::Debug for DocsServer {
@@ -165,6 +211,8 @@ impl DocsServer {
             store,
             tenant_lock: std::sync::Mutex::new(()),
             save_listener: std::sync::RwLock::new(None),
+            session_prefix: SystemRandom::new().next_u64(),
+            sessions: AtomicU64::new(0),
         }
     }
 
@@ -330,13 +378,11 @@ impl DocsServer {
     }
 
     fn open(&self, doc_id: &str) -> Response {
-        let session = match self.store.bump_meta(META_NEXT_SESSION) {
-            Ok(n) => format!("s{n}"),
-            Err(e) => return store_error(&e),
-        };
         let Some((content, version)) = self.store.current(doc_id) else {
             return Response::error(404, "no such document");
         };
+        let n = self.sessions.fetch_add(1, Ordering::Relaxed) + 1;
+        let session = format!("s{:016x}-{n}", self.session_prefix);
         let content = stored_text(content);
         let hash = Self::content_hash(&content);
         Response::ok(form::encode_pairs(&[
@@ -524,12 +570,7 @@ impl CloudService for DocsServer {
             _ => Response::error(404, "unknown endpoint"),
         };
         pe_observe::static_counter!("cloud.requests").inc();
-        pe_observe::counter(&format!(
-            "cloud.req.{}.{}xx",
-            request.path,
-            response.status / 100
-        ))
-        .inc();
+        count_request(&request.path, response.status);
         response
     }
 
@@ -714,6 +755,150 @@ mod tests {
         let resp = restored.handle(&Request::post("/Doc", &[("cmd", "create")], ""));
         let pairs = form::parse_pairs(resp.body_text().unwrap()).unwrap();
         assert_eq!(form::first_value(&pairs, "docID"), Some("doc2"));
+    }
+
+    /// A store that counts the calls that would write.
+    struct CountingStore {
+        inner: MemStore,
+        writes: std::sync::atomic::AtomicUsize,
+    }
+
+    impl CountingStore {
+        fn wrote(&self) {
+            self.writes.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    impl DocStore for CountingStore {
+        fn get(&self, id: &str) -> Option<pe_store::DocState> {
+            self.inner.get(id)
+        }
+        fn content(&self, id: &str) -> Option<Vec<u8>> {
+            self.inner.content(id)
+        }
+        fn current(&self, id: &str) -> Option<(Vec<u8>, u64)> {
+            self.inner.current(id)
+        }
+        fn list(&self) -> Vec<String> {
+            self.inner.list()
+        }
+        fn create(&self, id: &str) -> Result<bool, StoreError> {
+            self.wrote();
+            self.inner.create(id)
+        }
+        fn put_full(&self, id: &str, content: &[u8]) -> Result<u64, StoreError> {
+            self.wrote();
+            self.inner.put_full(id, content)
+        }
+        fn apply_delta(
+            &self,
+            id: &str,
+            delta: &Delta,
+            limits: DeltaLimits,
+        ) -> Result<pe_store::DocState, StoreError> {
+            self.wrote();
+            self.inner.apply_delta(id, delta, limits)
+        }
+        fn remove(&self, id: &str) -> Result<bool, StoreError> {
+            self.wrote();
+            self.inner.remove(id)
+        }
+        fn meta(&self, key: &str) -> Option<u64> {
+            self.inner.meta(key)
+        }
+        fn set_meta(&self, key: &str, value: u64) -> Result<(), StoreError> {
+            self.wrote();
+            self.inner.set_meta(key, value)
+        }
+        fn bump_meta(&self, key: &str) -> Result<u64, StoreError> {
+            self.wrote();
+            self.inner.bump_meta(key)
+        }
+        fn meta_entries(&self) -> Vec<(String, u64)> {
+            self.inner.meta_entries()
+        }
+        fn flush(&self) -> Result<(), StoreError> {
+            self.wrote();
+            self.inner.flush()
+        }
+        fn compact(&self) -> Result<pe_store::CompactionStats, StoreError> {
+            self.wrote();
+            self.inner.compact()
+        }
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+    }
+
+    fn open_session(server: &DocsServer, doc: &str) -> Response {
+        server.handle(&Request::post("/Doc", &[("docID", doc), ("cmd", "open")], ""))
+    }
+
+    fn session_id(open: &Response) -> String {
+        assert!(open.is_success(), "open failed: {}", open.status);
+        let pairs = form::parse_pairs(open.body_text().unwrap()).unwrap();
+        form::first_value(&pairs, "sessionID").unwrap().to_string()
+    }
+
+    #[test]
+    fn opens_write_nothing_and_mint_distinct_ids() {
+        let store = Arc::new(CountingStore {
+            inner: MemStore::new(),
+            writes: std::sync::atomic::AtomicUsize::new(0),
+        });
+        let server = DocsServer::with_store(store.clone());
+        let doc = create_doc(&server);
+        save_contents(&server, &doc, "read me");
+        let before = store.writes.load(Ordering::Relaxed);
+        let ids: std::collections::HashSet<String> =
+            (0..100).map(|_| session_id(&open_session(&server, &doc))).collect();
+        assert_eq!(store.writes.load(Ordering::Relaxed), before, "an open wrote to the store");
+        assert_eq!(ids.len(), 100, "session ids repeat within one server");
+    }
+
+    #[test]
+    fn servers_over_one_store_never_repeat_a_session_id() {
+        // A restart is a second server over the same store.
+        let store: Arc<dyn DocStore> = Arc::new(MemStore::new());
+        let first = DocsServer::with_store(store.clone());
+        let doc = create_doc(&first);
+        let mut ids: Vec<String> =
+            (0..50).map(|_| session_id(&open_session(&first, &doc))).collect();
+        drop(first);
+        let second = DocsServer::with_store(store);
+        ids.extend((0..50).map(|_| session_id(&open_session(&second, &doc))));
+        let distinct: std::collections::HashSet<&String> = ids.iter().collect();
+        assert_eq!(distinct.len(), ids.len(), "a restarted server repeated a session id");
+    }
+
+    #[test]
+    fn opening_a_missing_document_mints_no_id() {
+        let server = DocsServer::new();
+        assert_eq!(open_session(&server, "nope").status, 404);
+        let doc = create_doc(&server);
+        let id = session_id(&open_session(&server, &doc));
+        assert!(id.ends_with("-1"), "the 404 consumed a session id: {id}");
+    }
+
+    #[test]
+    fn unknown_paths_share_one_counter_per_status_class() {
+        let server = DocsServer::new();
+        for i in 0..10_000 {
+            let resp = server.handle(&Request::get(&format!("/probe-{i}"), &[]));
+            assert_eq!(resp.status, 404);
+        }
+        let snapshot = pe_observe::global().snapshot();
+        let names: Vec<&str> = snapshot
+            .counters
+            .iter()
+            .map(|c| c.name.as_str())
+            .filter(|name| name.starts_with("cloud.req."))
+            .collect();
+        assert!(!names.iter().any(|name| name.contains("/probe-")), "a probe path minted a metric");
+        // Other tests in this process may count routed paths concurrently;
+        // unknown paths add at most one counter per status class.
+        assert!(names.len() <= (ROUTED_PATHS.len() + 1) * 5, "{} request counters", names.len());
+        assert!(snapshot.counter("cloud.req.other.4xx").unwrap_or(0) >= 10_000);
     }
 
     #[test]

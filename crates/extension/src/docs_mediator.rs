@@ -338,12 +338,14 @@ impl<S: CloudService> DocsMediator<S> {
         pe_observe::static_counter!("mediator.requests").inc();
         let result = self.intercept_inner(request);
         match &result {
-            Ok(mediated) => pe_observe::counter(match mediated.outcome {
-                Outcome::PassedThrough => "mediator.outcome.passed_through",
-                Outcome::Encrypted => "mediator.outcome.encrypted",
-                Outcome::Decrypted => "mediator.outcome.decrypted",
-                Outcome::Blocked => "mediator.outcome.blocked",
-            })
+            Ok(mediated) => match mediated.outcome {
+                Outcome::PassedThrough => {
+                    pe_observe::static_counter!("mediator.outcome.passed_through")
+                }
+                Outcome::Encrypted => pe_observe::static_counter!("mediator.outcome.encrypted"),
+                Outcome::Decrypted => pe_observe::static_counter!("mediator.outcome.decrypted"),
+                Outcome::Blocked => pe_observe::static_counter!("mediator.outcome.blocked"),
+            }
             .inc(),
             Err(_) => pe_observe::static_counter!("mediator.errors").inc(),
         }

@@ -8,25 +8,41 @@
 //! character index. Find, Insert, and Delete all run in expected
 //! `O(log n)` time in the number of blocks, matching the analysis the
 //! paper inherits from Pugh's original algorithms.
+//!
+//! # Layout
+//!
+//! Nodes live in one arena vector and every link above level 0 in one
+//! shared link pool. A node holds its value, its level-0 link (the one
+//! every walk ends on and iteration follows) and the `u32` offset of its
+//! other `height - 1` links, which sit next to each other in the pool.
+//! Heights are geometric with p = 1/2, so the pool holds about one link
+//! per node. A removed node's slot and its tower's run of links go on
+//! free lists (the runs one list per height) that later inserts and bulk
+//! appends draw from first, so neither vector grows under churn. Dropping
+//! a list frees two allocations, whatever its length.
 
 use crate::{BlockSeq, Location, Weighted};
 
 /// Maximum tower height; 2^32 blocks is far beyond any document size.
 const MAX_LEVEL: usize = 32;
 
-/// Sentinel index representing the NIL pointer at the end of every level.
-const NIL: usize = usize::MAX;
+/// Sentinel index: the NIL pointer at the end of every level, the end of
+/// every free list, and the tower offset of a node with no pooled links.
+const NIL: u32 = u32::MAX;
+
+/// Arena index of the head sentinel. Its tower is the first
+/// `MAX_LEVEL - 1` links of the pool, so it never moves as levels grow.
+const HEAD: u32 = 0;
 
 /// A forward pointer: the paper's `forward[i].point_at` plus the
 /// `skip_count` field, carried in both block and character units.
 ///
-/// Spans are `u32` (a single link never covers more than 2^32 blocks or
-/// characters — far beyond any document this system stores), which keeps
-/// a link at 16 bytes and roughly halves the tower memory traffic on the
-/// bulk-build and walk paths.
+/// Every field is a `u32` (no document this system stores comes near
+/// 2^32 blocks or characters), which keeps a link at 12 bytes.
 #[derive(Debug, Clone, Copy)]
 struct Link {
-    target: usize,
+    /// Arena index of the destination node, or [`NIL`].
+    target: u32,
     /// Blocks skipped when following this link, counting the destination:
     /// `rank(target) - rank(source)`.
     span_blocks: u32,
@@ -35,6 +51,8 @@ struct Link {
     span_weight: u32,
 }
 
+const NIL_LINK: Link = Link { target: NIL, span_blocks: 0, span_weight: 0 };
+
 /// Narrows a span to the stored width, checked in debug builds.
 #[inline]
 fn span(n: usize) -> u32 {
@@ -42,94 +60,25 @@ fn span(n: usize) -> u32 {
     n as u32
 }
 
-/// Tower heights ≤ this many links live inline in the arena node.
-/// Heights are geometric with p = 1/2, so ~75% of nodes never touch the
-/// heap — which keeps bulk loads ([`BlockSeq::extend_back`]) nearly
-/// allocation-free.
-const INLINE_LINKS: usize = 2;
-
-const NIL_LINK: Link = Link { target: NIL, span_blocks: 0, span_weight: 0 };
-
-/// The forward links of one node: the first [`INLINE_LINKS`] levels
-/// inline, taller towers spilling the excess to a heap vector.
-#[derive(Debug)]
-struct Tower {
-    height: u8,
-    inline: [Link; INLINE_LINKS],
-    /// Links at level `INLINE_LINKS..height`.
-    spill: Vec<Link>,
+/// Narrows an arena length to a `u32` index.
+fn arena_index(n: usize) -> u32 {
+    assert!(n < NIL as usize, "arena exceeds u32 range");
+    n as u32
 }
 
-impl Tower {
-    fn new() -> Tower {
-        Tower { height: 0, inline: [NIL_LINK; INLINE_LINKS], spill: Vec::new() }
-    }
-
-    fn len(&self) -> usize {
-        self.height as usize
-    }
-
-    fn push(&mut self, link: Link) {
-        let h = self.height as usize;
-        if h < INLINE_LINKS {
-            self.inline[h] = link;
-        } else {
-            self.spill.push(link);
-        }
-        self.height += 1;
-    }
-
-    fn pop(&mut self) {
-        debug_assert!(self.height > 0);
-        if self.height as usize > INLINE_LINKS {
-            self.spill.pop();
-        }
-        self.height -= 1;
-    }
-
-    fn clear(&mut self) {
-        self.height = 0;
-        self.spill.clear();
-    }
-
-    fn get(&self, i: usize) -> Option<Link> {
-        if i < self.height as usize {
-            Some(self[i])
-        } else {
-            None
-        }
-    }
-}
-
-impl std::ops::Index<usize> for Tower {
-    type Output = Link;
-
-    fn index(&self, i: usize) -> &Link {
-        assert!(i < self.height as usize, "level {i} out of range");
-        if i < INLINE_LINKS {
-            &self.inline[i]
-        } else {
-            &self.spill[i - INLINE_LINKS]
-        }
-    }
-}
-
-impl std::ops::IndexMut<usize> for Tower {
-    fn index_mut(&mut self, i: usize) -> &mut Link {
-        assert!(i < self.height as usize, "level {i} out of range");
-        if i < INLINE_LINKS {
-            &mut self.inline[i]
-        } else {
-            &mut self.spill[i - INLINE_LINKS]
-        }
-    }
-}
-
+/// One arena slot.
 #[derive(Debug)]
 struct Node<T> {
     /// `None` only for the head sentinel and freed arena slots.
     value: Option<T>,
-    forward: Tower,
+    /// Number of levels this node's tower reaches (at least 1).
+    height: u8,
+    /// Pool offset of the links at levels `1..height`, or [`NIL`] for a
+    /// height-1 node.
+    tower: u32,
+    /// The level-0 link. In a freed slot, `next.target` chains the free
+    /// list instead.
+    next: Link,
 }
 
 /// SplitMix64: a tiny, high-quality PRNG for tower heights, embedded so the
@@ -147,11 +96,19 @@ impl SplitMix64 {
     }
 }
 
+/// Where a walk to a rank descended: at every level `i` below the list's
+/// height, `update[i]` is the last node before the rank and `ranks[i]`
+/// its cumulative `(blocks, weight)` rank (the head's is `(0, 0)`).
+struct Path {
+    update: [u32; MAX_LEVEL],
+    ranks: [(usize, usize); MAX_LEVEL],
+}
+
 /// The IndexedSkipList of §V-C: an order-statistic skip list over
 /// variable-length blocks.
 ///
-/// See the [crate docs](crate) and [`BlockSeq`] for the operation set.
-/// Nodes live in an internal arena; removed slots are recycled.
+/// See the [crate docs](crate) and [`BlockSeq`] for the operation set, and
+/// the [module docs](self) for the memory layout.
 ///
 /// # Example
 ///
@@ -173,7 +130,13 @@ impl SplitMix64 {
 #[derive(Debug)]
 pub struct IndexedSkipList<T> {
     nodes: Vec<Node<T>>,
-    free: Vec<usize>,
+    /// Every link above level 0; a tower's links are one contiguous run.
+    links: Vec<Link>,
+    /// First freed arena slot, or [`NIL`].
+    free_node: u32,
+    /// `free_towers[h]`: the first freed run of `h - 1` links, or [`NIL`];
+    /// each run chains the next through its first link's `target`.
+    free_towers: [u32; MAX_LEVEL + 1],
     len_blocks: usize,
     total_weight: usize,
     /// Number of levels currently in use (head tower height), at least 1.
@@ -196,12 +159,12 @@ impl<T: Weighted> IndexedSkipList<T> {
     /// Creates an empty list whose tower heights are drawn from the given
     /// seed, making the structure fully reproducible.
     pub fn with_seed(seed: u64) -> IndexedSkipList<T> {
-        let mut forward = Tower::new();
-        forward.push(NIL_LINK);
-        let head = Node { value: None, forward };
+        let head = Node { value: None, height: MAX_LEVEL as u8, tower: 0, next: NIL_LINK };
         IndexedSkipList {
             nodes: vec![head],
-            free: Vec::new(),
+            links: vec![NIL_LINK; MAX_LEVEL - 1],
+            free_node: NIL,
+            free_towers: [NIL; MAX_LEVEL + 1],
             len_blocks: 0,
             total_weight: 0,
             level: 1,
@@ -215,22 +178,55 @@ impl<T: Weighted> IndexedSkipList<T> {
         ((bits.trailing_ones() as usize) + 1).min(MAX_LEVEL)
     }
 
+    /// The level-`i` link leaving node `x`.
+    #[inline]
+    fn link(&self, x: u32, i: usize) -> Link {
+        let node = &self.nodes[x as usize];
+        debug_assert!(i < node.height as usize, "level {i} out of range");
+        if i == 0 {
+            node.next
+        } else {
+            self.links[node.tower as usize + i - 1]
+        }
+    }
+
+    #[inline]
+    fn link_mut(&mut self, x: u32, i: usize) -> &mut Link {
+        let node = &mut self.nodes[x as usize];
+        debug_assert!(i < node.height as usize, "level {i} out of range");
+        if i == 0 {
+            &mut node.next
+        } else {
+            &mut self.links[node.tower as usize + i - 1]
+        }
+    }
+
+    /// Raises the head to `lvl` levels. Each new head link runs past the
+    /// end, spanning the whole list.
+    fn raise_level(&mut self, lvl: usize) {
+        let whole = Link {
+            target: NIL,
+            span_blocks: span(self.len_blocks),
+            span_weight: span(self.total_weight),
+        };
+        for i in self.level..lvl {
+            *self.link_mut(HEAD, i) = whole;
+        }
+        self.level = self.level.max(lvl);
+    }
+
     /// Walks to the node of block-rank `rank` (head has rank 0), recording
     /// for every level the node where the walk descended and that node's
     /// cumulative (blocks, weight) rank.
-    ///
-    /// Returns `(update, ranks)` where `update[i]` is the node index and
-    /// `ranks[i]` the (blocks, weight) rank of `update[i]`.
-    fn walk_to_rank(&self, rank: usize) -> (Vec<usize>, Vec<(usize, usize)>) {
-        let mut update = vec![0usize; self.level];
-        let mut ranks = vec![(0usize, 0usize); self.level];
-        let mut x = 0usize;
+    fn walk_to_rank(&self, rank: usize) -> Path {
+        let mut path = Path { update: [HEAD; MAX_LEVEL], ranks: [(0, 0); MAX_LEVEL] };
+        let mut x = HEAD;
         let mut remaining = rank;
         let mut acc_blocks = 0usize;
         let mut acc_weight = 0usize;
         for i in (0..self.level).rev() {
             loop {
-                let link = self.nodes[x].forward[i];
+                let link = self.link(x, i);
                 if link.target == NIL || link.span_blocks as usize > remaining {
                     break;
                 }
@@ -239,23 +235,57 @@ impl<T: Weighted> IndexedSkipList<T> {
                 acc_weight += link.span_weight as usize;
                 x = link.target;
             }
-            update[i] = x;
-            ranks[i] = (acc_blocks, acc_weight);
+            path.update[i] = x;
+            path.ranks[i] = (acc_blocks, acc_weight);
         }
         debug_assert_eq!(remaining, 0, "rank walk must land exactly");
-        (update, ranks)
+        path
     }
 
-    /// Allocates a node in the arena, reusing freed slots.
-    fn alloc(&mut self, value: T, _levels: usize) -> usize {
-        let node = Node { value: Some(value), forward: Tower::new() };
-        if let Some(idx) = self.free.pop() {
-            self.nodes[idx] = node;
+    /// The arena index of block `ordinal`, which must be in range.
+    fn node_at(&self, ordinal: usize) -> u32 {
+        self.link(self.walk_to_rank(ordinal).update[0], 0).target
+    }
+
+    /// Allocates a node of the given height, reusing a freed slot and a
+    /// freed run of links when there are any. Its links are unset.
+    fn alloc(&mut self, value: T, height: usize) -> u32 {
+        let tower = if height == 1 {
+            NIL
+        } else if self.free_towers[height] != NIL {
+            let run = self.free_towers[height];
+            self.free_towers[height] = self.links[run as usize].target;
+            run
+        } else {
+            let run = arena_index(self.links.len());
+            self.links.resize(self.links.len() + height - 1, NIL_LINK);
+            run
+        };
+        let node = Node { value: Some(value), height: height as u8, tower, next: NIL_LINK };
+        if self.free_node == NIL {
+            let idx = arena_index(self.nodes.len());
+            self.nodes.push(node);
             idx
         } else {
-            self.nodes.push(node);
-            self.nodes.len() - 1
+            let idx = self.free_node;
+            self.free_node = self.nodes[idx as usize].next.target;
+            self.nodes[idx as usize] = node;
+            idx
         }
+    }
+
+    /// Puts an unlinked node's slot and tower on the free lists and
+    /// returns its value.
+    fn release(&mut self, x: u32) -> T {
+        let node = &mut self.nodes[x as usize];
+        let height = node.height as usize;
+        if height > 1 {
+            self.links[node.tower as usize].target = self.free_towers[height];
+            self.free_towers[height] = node.tower;
+        }
+        node.next.target = self.free_node;
+        self.free_node = x;
+        node.value.take().expect("live node")
     }
 
     /// Sums `(span_blocks, span_weight)` along the forward chain of each
@@ -267,10 +297,10 @@ impl<T: Weighted> IndexedSkipList<T> {
     pub fn level_span_totals(&self) -> Vec<(usize, usize)> {
         (0..self.level)
             .map(|i| {
-                let mut x = 0usize;
+                let mut x = HEAD;
                 let (mut blocks, mut weight) = (0usize, 0usize);
                 loop {
-                    let link = self.nodes[x].forward[i];
+                    let link = self.link(x, i);
                     blocks += link.span_blocks as usize;
                     weight += link.span_weight as usize;
                     if link.target == NIL {
@@ -284,7 +314,9 @@ impl<T: Weighted> IndexedSkipList<T> {
     }
 
     /// Verifies every structural invariant (span consistency at all
-    /// levels, length/weight accounting). Intended for tests; O(n · level).
+    /// levels, length/weight accounting, and that live and freed slots
+    /// and towers account for the whole arena and pool exactly once).
+    /// Intended for tests; O(n · level).
     ///
     /// # Panics
     ///
@@ -292,14 +324,13 @@ impl<T: Weighted> IndexedSkipList<T> {
     #[doc(hidden)]
     pub fn assert_invariants(&self) {
         // Collect level-0 order and per-node (rank, weight-rank).
-        let mut order = Vec::new();
-        let mut x = 0usize;
+        let mut x = HEAD;
         let mut rank_of = std::collections::HashMap::new();
-        rank_of.insert(0usize, (0usize, 0usize));
+        rank_of.insert(HEAD, (0usize, 0usize));
         let mut blocks = 0usize;
         let mut weight = 0usize;
         loop {
-            let link = self.nodes[x].forward[0];
+            let link = self.link(x, 0);
             assert_eq!(
                 link.span_blocks as usize,
                 if link.target == NIL { self.len_blocks - blocks } else { 1 }
@@ -309,27 +340,23 @@ impl<T: Weighted> IndexedSkipList<T> {
                 break;
             }
             x = link.target;
-            let w = self.nodes[x].value.as_ref().expect("live node has a value").weight();
-            assert_eq!(
-                link.span_weight as usize,
-                w,
-                "level-0 span must equal destination weight"
-            );
+            let w = self.nodes[x as usize].value.as_ref().expect("live node has a value").weight();
+            assert_eq!(link.span_weight as usize, w, "level-0 span must equal destination weight");
             blocks += 1;
             weight += w;
-            rank_of.insert(x, (blocks, weight));
-            order.push(x);
+            assert!(rank_of.insert(x, (blocks, weight)).is_none(), "level 0 revisits node {x}");
         }
         assert_eq!(blocks, self.len_blocks, "block count must match");
         assert_eq!(weight, self.total_weight, "weight must match");
         // Every level must chain through increasing ranks with exact spans.
         for i in 0..self.level {
-            let mut x = 0usize;
+            let mut x = HEAD;
             loop {
-                let link = self.nodes[x]
-                    .forward
-                    .get(i)
-                    .unwrap_or_else(|| panic!("node on chain missing level {i}"));
+                assert!(
+                    x == HEAD || i < self.nodes[x as usize].height as usize,
+                    "node on chain missing level {i}"
+                );
+                let link = self.link(x, i);
                 let (rb, rw) = rank_of[&x];
                 if link.target == NIL {
                     assert_eq!(link.span_blocks as usize, self.len_blocks - rb);
@@ -342,6 +369,43 @@ impl<T: Weighted> IndexedSkipList<T> {
                 x = link.target;
             }
         }
+        // Arena: every slot is the head, live, or on the free list once.
+        let mut free_slots = 0usize;
+        let mut slot = self.free_node;
+        while slot != NIL {
+            assert!(self.nodes[slot as usize].value.is_none(), "free slot {slot} holds a value");
+            assert!(!rank_of.contains_key(&slot), "free slot {slot} is linked");
+            free_slots += 1;
+            assert!(free_slots < self.nodes.len(), "free list cycles");
+            slot = self.nodes[slot as usize].next.target;
+        }
+        assert_eq!(1 + self.len_blocks + free_slots, self.nodes.len(), "arena slots leak");
+        // Pool: the head's run, the live towers and the freed runs tile it.
+        let mut runs = vec![(0usize, MAX_LEVEL - 1)];
+        for &x in rank_of.keys().filter(|&&x| x != HEAD) {
+            let node = &self.nodes[x as usize];
+            if node.height > 1 {
+                runs.push((node.tower as usize, node.height as usize - 1));
+            } else {
+                assert_eq!(node.tower, NIL, "a height-1 node owns no pooled links");
+            }
+        }
+        for (height, &first) in self.free_towers.iter().enumerate() {
+            let mut run = first;
+            while run != NIL {
+                assert!(height > 1, "a free run of height {height}");
+                runs.push((run as usize, height - 1));
+                assert!(runs.len() <= self.links.len(), "free tower list cycles");
+                run = self.links[run as usize].target;
+            }
+        }
+        runs.sort_unstable();
+        let mut end = 0usize;
+        for (start, len) in runs {
+            assert_eq!(start, end, "tower runs must tile the link pool");
+            end = start + len;
+        }
+        assert_eq!(end, self.links.len(), "link pool has unowned links");
     }
 }
 
@@ -358,9 +422,7 @@ impl<T: Weighted> BlockSeq<T> for IndexedSkipList<T> {
         if ordinal >= self.len_blocks {
             return None;
         }
-        let (update, _) = self.walk_to_rank(ordinal);
-        let target = self.nodes[update[0]].forward[0].target;
-        self.nodes[target].value.as_ref()
+        self.nodes[self.node_at(ordinal) as usize].value.as_ref()
     }
 
     fn insert(&mut self, ordinal: usize, value: T) {
@@ -368,162 +430,124 @@ impl<T: Weighted> BlockSeq<T> for IndexedSkipList<T> {
         let w = value.weight();
         assert!(w > 0, "blocks must have positive weight");
         let lvl = self.random_level();
-        if lvl > self.level {
-            // Grow the head tower; new levels span the whole list.
-            for _ in self.level..lvl {
-                self.nodes[0].forward.push(Link {
-                    target: NIL,
-                    span_blocks: span(self.len_blocks),
-                    span_weight: span(self.total_weight),
-                });
-            }
-            self.level = lvl;
-        }
-        let (update, ranks) = self.walk_to_rank(ordinal);
-        let wk = ranks[0].1; // weight of blocks before the insertion point
-        let new_idx = self.alloc(value, lvl);
+        self.raise_level(lvl);
+        let path = self.walk_to_rank(ordinal);
+        let wk = path.ranks[0].1; // weight of blocks before the insertion point
+        let new = self.alloc(value, lvl);
         for i in 0..lvl {
-            let u = update[i];
-            let old = self.nodes[u].forward[i];
-            let nb = span(ordinal + 1 - ranks[i].0);
-            let nw = span(wk + w - ranks[i].1);
-            let out_link = Link {
+            let u = path.update[i];
+            let old = self.link(u, i);
+            let nb = span(ordinal + 1 - path.ranks[i].0);
+            let nw = span(wk + w - path.ranks[i].1);
+            *self.link_mut(new, i) = Link {
                 target: old.target,
                 span_blocks: old.span_blocks - (nb - 1),
                 span_weight: old.span_weight - (nw - span(w)),
             };
-            self.nodes[new_idx].forward.push(out_link);
-            self.nodes[u].forward[i] =
-                Link { target: new_idx, span_blocks: nb, span_weight: nw };
+            *self.link_mut(u, i) = Link { target: new, span_blocks: nb, span_weight: nw };
         }
-        for (i, &u) in update.iter().enumerate().skip(lvl) {
-            self.nodes[u].forward[i].span_blocks += 1;
-            self.nodes[u].forward[i].span_weight += span(w);
+        for i in lvl..self.level {
+            let link = self.link_mut(path.update[i], i);
+            link.span_blocks += 1;
+            link.span_weight += span(w);
         }
         self.len_blocks += 1;
         self.total_weight += w;
     }
 
-    /// Bulk append: one walk to the end seeds per-level tail pointers,
-    /// then every item links in without a position search (and without
-    /// the two per-insert rank vectors [`insert`](BlockSeq::insert)
-    /// allocates). Tail links — the per-level links that run past the
-    /// end of the list — carry placeholder spans during the loop and are
-    /// patched in one pass at the end, so each item costs `O(its own
-    /// tower height)` instead of `O(list height)`. Draws tower heights
-    /// in the same order as sequential end-inserts, so the resulting
-    /// structure is identical.
+    /// Bulk append. Every tower height is drawn first, in the order
+    /// sequential end-inserts draw them (so the resulting structure is
+    /// identical), which sizes the arena and the link pool once. One walk
+    /// to the end then seeds per-level tail pointers, and every item links
+    /// in without a position search. Tail links — the per-level links
+    /// that run past the end of the list — are left unset during the loop
+    /// (the next node to reach the level overwrites them) and are patched
+    /// in one pass at the end, so each item costs `O(its own tower
+    /// height)` instead of `O(list height)`.
     fn extend_back(&mut self, items: Vec<T>) {
-        if items.is_empty() {
+        let heights: Vec<u8> = items.iter().map(|_| self.random_level() as u8).collect();
+        let Some(&top) = heights.iter().max() else {
             return;
-        }
-        self.nodes.reserve(items.len().saturating_sub(self.free.len()));
-        let (mut update, mut ranks) = self.walk_to_rank(self.len_blocks);
-        for value in items {
+        };
+        self.nodes.reserve(items.len());
+        self.links.reserve(heights.iter().map(|&h| h as usize - 1).sum());
+        self.raise_level(top as usize);
+        let mut path = self.walk_to_rank(self.len_blocks);
+        for (value, height) in items.into_iter().zip(heights) {
             let w = value.weight();
             assert!(w > 0, "blocks must have positive weight");
-            let lvl = self.random_level();
-            if lvl > self.level {
-                for _ in self.level..lvl {
-                    // Placeholder span; the final fixup below rewrites it.
-                    self.nodes[0].forward.push(Link {
-                        target: NIL,
-                        span_blocks: 0,
-                        span_weight: 0,
-                    });
-                }
-                self.level = lvl;
-                update.resize(self.level, 0);
-                ranks.resize(self.level, (0, 0));
-            }
-            let ordinal = self.len_blocks;
-            let wk = self.total_weight;
-            let new_idx = self.alloc(value, lvl);
-            for i in 0..lvl {
-                let u = update[i];
-                debug_assert_eq!(
-                    self.nodes[u].forward[i].target,
-                    NIL,
-                    "tail links point past the end"
-                );
-                self.nodes[new_idx].forward.push(Link {
-                    target: NIL,
-                    span_blocks: 0,
-                    span_weight: 0,
-                });
-                self.nodes[u].forward[i] = Link {
-                    target: new_idx,
-                    span_blocks: span(ordinal + 1 - ranks[i].0),
-                    span_weight: span(wk + w - ranks[i].1),
+            let (ordinal, wk) = (self.len_blocks, self.total_weight);
+            let new = self.alloc(value, height as usize);
+            for i in 0..height as usize {
+                *self.link_mut(path.update[i], i) = Link {
+                    target: new,
+                    span_blocks: span(ordinal + 1 - path.ranks[i].0),
+                    span_weight: span(wk + w - path.ranks[i].1),
                 };
-                update[i] = new_idx;
-                ranks[i] = (ordinal + 1, wk + w);
+                path.update[i] = new;
+                path.ranks[i] = (ordinal + 1, wk + w);
             }
             self.len_blocks += 1;
             self.total_weight += w;
         }
         // Patch every tail link: it spans from its node to the (new) end.
         for i in 0..self.level {
-            self.nodes[update[i]].forward[i] = Link {
+            *self.link_mut(path.update[i], i) = Link {
                 target: NIL,
-                span_blocks: span(self.len_blocks - ranks[i].0),
-                span_weight: span(self.total_weight - ranks[i].1),
+                span_blocks: span(self.len_blocks - path.ranks[i].0),
+                span_weight: span(self.total_weight - path.ranks[i].1),
             };
         }
     }
 
     fn remove(&mut self, ordinal: usize) -> T {
         assert!(ordinal < self.len_blocks, "remove ordinal {ordinal} out of range");
-        let (update, _) = self.walk_to_rank(ordinal);
-        let target = self.nodes[update[0]].forward[0].target;
+        let path = self.walk_to_rank(ordinal);
+        let target = self.link(path.update[0], 0).target;
         debug_assert_ne!(target, NIL);
-        let w = self.nodes[target].value.as_ref().expect("live node").weight();
-        let target_levels = self.nodes[target].forward.len();
-        for (i, &u) in update.iter().enumerate() {
-            if i < target_levels && self.nodes[u].forward[i].target == target {
-                let t_link = self.nodes[target].forward[i];
-                let u_link = &mut self.nodes[u].forward[i];
-                u_link.target = t_link.target;
-                u_link.span_blocks += t_link.span_blocks;
-                u_link.span_weight += t_link.span_weight;
-                u_link.span_blocks -= 1;
-                u_link.span_weight -= span(w);
-            } else {
-                let u_link = &mut self.nodes[u].forward[i];
-                u_link.span_blocks -= 1;
-                u_link.span_weight -= span(w);
+        let w = span(self.nodes[target as usize].value.as_ref().expect("live node").weight());
+        let target_levels = self.nodes[target as usize].height as usize;
+        for i in 0..self.level {
+            let u = path.update[i];
+            let bypass = (i < target_levels).then(|| self.link(target, i));
+            let u_link = self.link_mut(u, i);
+            match bypass {
+                Some(t_link) if u_link.target == target => {
+                    u_link.target = t_link.target;
+                    u_link.span_blocks += t_link.span_blocks;
+                    u_link.span_weight += t_link.span_weight;
+                }
+                _ => {}
             }
+            u_link.span_blocks -= 1;
+            u_link.span_weight -= w;
         }
         // Shrink unused levels (keep at least one).
-        while self.level > 1 && self.nodes[0].forward[self.level - 1].target == NIL {
-            self.nodes[0].forward.pop();
+        while self.level > 1 && self.link(HEAD, self.level - 1).target == NIL {
             self.level -= 1;
         }
         self.len_blocks -= 1;
-        self.total_weight -= w;
-        let value = self.nodes[target].value.take().expect("live node");
-        self.nodes[target].forward.clear();
-        self.free.push(target);
-        value
+        self.total_weight -= w as usize;
+        self.release(target)
     }
 
     fn replace(&mut self, ordinal: usize, value: T) -> T {
         assert!(ordinal < self.len_blocks, "replace ordinal {ordinal} out of range");
         let new_w = value.weight();
         assert!(new_w > 0, "blocks must have positive weight");
-        let (update, _) = self.walk_to_rank(ordinal);
-        let target = self.nodes[update[0]].forward[0].target;
-        let old_w = self.nodes[target].value.as_ref().expect("live node").weight();
+        let path = self.walk_to_rank(ordinal);
+        let target = self.link(path.update[0], 0).target;
+        let old_w = self.nodes[target as usize].value.as_ref().expect("live node").weight();
         if new_w != old_w {
             // Exactly one link per level covers the target block; it is the
             // link leaving update[i].
-            for (i, &u) in update.iter().enumerate() {
-                let u_link = &mut self.nodes[u].forward[i];
+            for i in 0..self.level {
+                let u_link = self.link_mut(path.update[i], i);
                 u_link.span_weight = u_link.span_weight + span(new_w) - span(old_w);
             }
             self.total_weight = self.total_weight + new_w - old_w;
         }
-        self.nodes[target].value.replace(value).expect("live node")
+        self.nodes[target as usize].value.replace(value).expect("live node")
     }
 
     fn locate(&self, char_index: usize) -> Option<Location> {
@@ -531,12 +555,12 @@ impl<T: Weighted> BlockSeq<T> for IndexedSkipList<T> {
             return None;
         }
         // Algorithm 1 of the paper, with weights as the skip counts.
-        let mut x = 0usize;
+        let mut x = HEAD;
         let mut remaining = char_index;
         let mut acc_blocks = 0usize;
         for i in (0..self.level).rev() {
             loop {
-                let link = self.nodes[x].forward[i];
+                let link = self.link(x, i);
                 if link.target == NIL || link.span_weight as usize > remaining {
                     break;
                 }
@@ -550,24 +574,18 @@ impl<T: Weighted> BlockSeq<T> for IndexedSkipList<T> {
 
     fn weight_before(&self, ordinal: usize) -> usize {
         assert!(ordinal <= self.len_blocks, "ordinal {ordinal} out of range");
-        let (_, ranks) = self.walk_to_rank(ordinal);
-        ranks[0].1
+        self.walk_to_rank(ordinal).ranks[0].1
     }
 
     fn iter_from(&self, ordinal: usize) -> Box<dyn Iterator<Item = &T> + '_> {
-        let start = if ordinal >= self.len_blocks {
-            NIL
-        } else {
-            let (update, _) = self.walk_to_rank(ordinal);
-            self.nodes[update[0]].forward[0].target
-        };
+        let start = if ordinal >= self.len_blocks { NIL } else { self.node_at(ordinal) };
         Box::new(Iter { list: self, cursor: start })
     }
 }
 
 struct Iter<'a, T> {
     list: &'a IndexedSkipList<T>,
-    cursor: usize,
+    cursor: u32,
 }
 
 impl<'a, T: Weighted> Iterator for Iter<'a, T> {
@@ -577,8 +595,8 @@ impl<'a, T: Weighted> Iterator for Iter<'a, T> {
         if self.cursor == NIL {
             return None;
         }
-        let node = &self.list.nodes[self.cursor];
-        self.cursor = node.forward[0].target;
+        let node = &self.list.nodes[self.cursor as usize];
+        self.cursor = node.next.target;
         node.value.as_ref()
     }
 }
@@ -732,16 +750,38 @@ mod tests {
     fn arena_slots_are_recycled() {
         let mut list = IndexedSkipList::with_seed(8);
         for round in 0..10 {
-            for i in 0..20 {
-                list.insert(i, b(&format!("r{round}i{i}")));
+            let blocks: Vec<B> = (0..20).map(|i| b(&format!("r{round}i{i}"))).collect();
+            if round % 2 == 0 {
+                for (i, block) in blocks.into_iter().enumerate() {
+                    list.insert(i, block);
+                }
+            } else {
+                list.extend_back(blocks);
             }
+            list.assert_invariants();
             for _ in 0..20 {
                 list.remove(0);
             }
         }
         assert!(list.is_empty());
-        // The arena should not have grown linearly with total insertions.
+        list.assert_invariants();
+        // Neither the arena nor the link pool grew linearly with total
+        // insertions: 200 nodes holding ~200 pooled links went through a
+        // list that never held more than 20 at once. (Runs are reused by
+        // height only, so the pool settles above the 20 a single bucket
+        // would need.)
         assert!(list.nodes.len() <= 22, "arena grew to {}", list.nodes.len());
+        assert!(list.links.len() <= MAX_LEVEL - 1 + 60, "link pool grew to {}", list.links.len());
+    }
+
+    #[test]
+    fn node_and_link_sizes_are_pinned() {
+        // A sealed block: one length byte and 16 cipher bytes.
+        type Block17 = (u8, [u8; 16]);
+        assert_eq!(std::mem::size_of::<Block17>(), 17);
+        assert_eq!(std::mem::size_of::<Link>(), 12);
+        let node = std::mem::size_of::<Node<Block17>>();
+        assert!(node <= 40, "a node over a 17-byte block takes {node} bytes");
     }
 
     #[test]

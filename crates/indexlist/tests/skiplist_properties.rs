@@ -7,6 +7,11 @@
 //!    equal `len_blocks()`/`total_weight()` exactly.
 //! 2. **Locate oracle**: `locate(i)` must agree with a linear scan over
 //!    the iterated blocks for every reachable character index.
+//!
+//! Bulk appends are mixed with inserts, removes and replaces, so they
+//! draw from arena slots and tower runs the removes freed;
+//! `assert_invariants` checks that live and freed slots and runs account
+//! for the arena and the link pool exactly once.
 
 use pe_indexlist::{BlockSeq, IndexedSkipList, Location, Weighted};
 use proptest::prelude::*;
@@ -27,6 +32,7 @@ enum RawOp {
     Insert { pos: usize, len: usize },
     Remove { pos: usize },
     Replace { pos: usize, len: usize },
+    ExtendBack { n: usize },
 }
 
 fn raw_op() -> impl Strategy<Value = RawOp> {
@@ -34,6 +40,7 @@ fn raw_op() -> impl Strategy<Value = RawOp> {
         3 => (any::<usize>(), 1usize..=9).prop_map(|(pos, len)| RawOp::Insert { pos, len }),
         1 => any::<usize>().prop_map(|pos| RawOp::Remove { pos }),
         1 => (any::<usize>(), 1usize..=9).prop_map(|(pos, len)| RawOp::Replace { pos, len }),
+        1 => (0usize..=12).prop_map(|n| RawOp::ExtendBack { n }),
     ]
 }
 
@@ -58,6 +65,11 @@ fn build(seed: u64, ops: &[RawOp]) -> (IndexedSkipList<Block>, Vec<usize>) {
                 let pos = pos % n;
                 list.replace(pos, Block(vec![step as u8; *len]));
                 weights[pos] = *len;
+            }
+            RawOp::ExtendBack { n } => {
+                let lens: Vec<usize> = (0..*n).map(|k| 1 + (step + k) % 9).collect();
+                list.extend_back(lens.iter().map(|&len| Block(vec![step as u8; len])).collect());
+                weights.extend(lens);
             }
             _ => {}
         }

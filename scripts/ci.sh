@@ -18,8 +18,12 @@ echo "== deep convergence (more property-test cases) =="
 # The convergence laws at many more cases than the default suite runs:
 # TP1, compose, inversion and the apply/apply_bytes agreement over
 # multi-byte text in pe-delta, and two live sessions, plaintext and
-# private, in pe-collab. Release mode keeps the step well under a minute.
+# private, in pe-collab. pe-indexlist's structural properties run at the
+# same depth: span partition and locate over inserts, removes, replaces
+# and bulk appends that reuse freed arena slots and tower runs. Release
+# mode keeps the step well under a minute.
 PROPTEST_CASES=2048 cargo test -q --release --offline -p pe-delta
+PROPTEST_CASES=2048 cargo test -q --release --offline -p pe-indexlist
 PROPTEST_CASES=512 cargo test -q --release --offline -p pe-collab --test live_collab \
   convergence_proptest
 
